@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .expressions import BellExpression, Scenario
-from .polytope import lr_max
+from .polytope import ENUMERATION_CAP, EnumerationCapExceeded, lr_max
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +58,7 @@ class QuantumState:
     rho: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_qubit_count(self.n)
         rho = np.asarray(self.rho, dtype=np.complex128)
         dim = 2**self.n
         if rho.shape != (dim, dim):
@@ -77,6 +78,7 @@ class QuantumState:
         n = int(round(math.log2(ket.size)))
         if 2**n != ket.size:
             raise ValueError("ket length must be a power of two")
+        _check_qubit_count(n)
         norm = np.linalg.norm(ket)
         if norm < 1e-12:
             raise ValueError("cannot normalize the zero vector")
@@ -84,7 +86,16 @@ class QuantumState:
         return cls(n, np.outer(ket, ket.conj()))
 
 
+def _check_qubit_count(n: int) -> None:
+    """Refuse states whose 4^n density-matrix entries exceed the cap."""
+    if 4**n > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"a {n}-qubit density matrix has 4^{n} entries, over the cap of {ENUMERATION_CAP}"
+        )
+
+
 def _ket_from_bits(bits: str) -> np.ndarray:
+    _check_qubit_count(len(bits))
     ket = np.zeros(2 ** len(bits), dtype=np.complex128)
     ket[int(bits, 2)] = 1.0
     return ket
@@ -410,6 +421,14 @@ class SeesawConfig:
     tol: float = 1e-10
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_sweeps < 0:
+            raise ValueError(f"max_sweeps must be non-negative, got {self.max_sweeps}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
+
 
 @dataclass(frozen=True)
 class SeesawResult:
@@ -418,7 +437,9 @@ class SeesawResult:
     ``scale`` is the factor the expression was multiplied by to normalize its
     local-realistic maximum to 1 (so the value is a violation factor);
     ``converged`` refers to the restart that produced the best value;
-    ``trace`` holds that restart's per-sweep values (non-decreasing).
+    ``trace`` holds that restart's per-sweep values (non-decreasing);
+    ``restarts`` holds every restart's ``(value, sweeps, converged)`` in
+    restart order.
     """
 
     value: float
@@ -426,6 +447,7 @@ class SeesawResult:
     converged: bool
     scale: Fraction
     trace: tuple[float, ...]
+    restarts: tuple[tuple[float, int, bool], ...]
 
 
 def _random_directions(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -442,18 +464,30 @@ def seesaw_maximize(
 
     For fixed directions of all other parties the expectation is linear in
     each of party p's direction vectors, with gradient W; the update replaces
-    the direction by W/|W| (kept unchanged when W = 0).  Sweeps run until the
-    improvement drops below ``tol`` or ``max_sweeps`` is hit; the whole
-    search restarts from fresh random directions ``restarts`` times, with a
-    per-restart RNG split from the master seed.  Ties keep the earliest
-    restart.  This is a heuristic for the true quantum maximum: values are
-    certified lower bounds only.
+    the direction by W/|W| (kept unchanged when W = 0).  A restart sweeps
+    until its improvement drops below ``tol`` or ``max_sweeps`` is hit; the
+    search starts ``restarts`` times from random directions, each drawn from
+    its own RNG split from the master seed.  The restarts run as one batch:
+    values and gradients both come from contracting the kernel
+    ``coeffs x T`` (each party's setting and Pauli axes fused into one) with
+    the other parties' directions, and a restart leaves the batch once it
+    stops.  The best value wins, the earliest restart on ties, including
+    ties within roundoff.  This is a heuristic for the true quantum maximum:
+    values are certified lower bounds only.
     """
     cfg = config or SeesawConfig()
     scenario = expr.scenario
     if scenario.parties != state.n:
         raise ValueError(
             f"state has {state.n} qubits but the scenario has {scenario.parties} parties"
+        )
+    n = scenario.parties
+    dims = [3 * m for m in scenario.settings]
+    batch_size = cfg.restarts * math.prod(dims)
+    if batch_size > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"see-saw batch of {cfg.restarts} restarts x {math.prod(dims)} kernel "
+            f"entries is {batch_size}, over the cap of {ENUMERATION_CAP}"
         )
     bound = lr_max(expr)
     if bound <= 0:
@@ -465,55 +499,72 @@ def seesaw_maximize(
         scenario.settings
     )
     corr = correlation_tensor(state).values
-    n = scenario.parties
+    # kernel[(j_0, i_0), ..., (j_n-1, i_n-1)] = coeffs[j_0, ...] * corr[i_0, ...]
+    fused = [ax for p in range(n) for ax in (p, n + p)]
+    kernel = np.multiply.outer(coeffs, corr).transpose(fused).reshape(dims)
+    # kernels[p] has party p's axis first, so the others contract from the end
+    kernels = {None: kernel}
+    kernels.update((p, np.ascontiguousarray(np.moveaxis(kernel, p, 0))) for p in range(n))
 
-    def full_value(units: list[np.ndarray]) -> float:
-        operands: list = [coeffs, list(range(n)), corr, list(range(n, 2 * n))]
-        for p, u in enumerate(units):
-            operands.extend([u, [p, n + p]])
-        return float(np.einsum(*operands, []))
+    def contract(units: list[np.ndarray], skip: int | None) -> np.ndarray:
+        """The kernel contracted with every party's directions but ``skip``'s.
 
-    def effective(units: list[np.ndarray], p: int) -> np.ndarray:
-        # W[j, i] = sum over settings with idx_p = j of coeff * prod_{q != p}
-        # (u_q . T axis q); shape (m_p, 3)
-        operands: list = [coeffs, list(range(n)), corr, list(range(n, 2 * n))]
-        for q, u in enumerate(units):
-            if q != p:
-                operands.extend([u, [q, n + q]])
-        return np.einsum(*operands, [p, n + p])
+        ``units[q]`` has shape (batch, m_q, 3); the result has shape
+        (batch, 3 m_skip), or (batch, 1) holding the values when ``skip`` is
+        None.
+        """
+        t = kernels[skip]
+        batch = len(units[0])
+        others = [q for q in range(n) if q != skip]
+        if not others:
+            return np.broadcast_to(t, (batch, t.size))
+        q = others.pop()
+        t = units[q].reshape(batch, -1) @ t.reshape(-1, dims[q]).T
+        for q in reversed(others):
+            t = np.matmul(t.reshape(batch, -1, dims[q]), units[q].reshape(batch, -1, 1))
+        return t.reshape(batch, -1)
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best: tuple[float, list[np.ndarray], bool, list[float]] | None = None
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng(seeds[restart])
-        units = [_random_directions(rng, m) for m in scenario.settings]
-        value = full_value(units)
-        trace = [value]
-        converged = False
-        for _ in range(cfg.max_sweeps):
+    restarts = cfg.restarts
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(restarts)]
+    draws = [[_random_directions(rng, m) for m in scenario.settings] for rng in rngs]
+    final = [np.stack([d[p] for d in draws]) for p in range(n)]
+    history = [contract(final, None)[:, 0]]  # history[s][r]: restart r after s sweeps
+    sweeps = np.zeros(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
+    active = np.arange(restarts)
+    units = [u.copy() for u in final]
+    for sweep in range(1, cfg.max_sweeps + 1):
+        if not active.size:
+            break
+        for p in range(n):
+            w = contract(units, p).reshape(units[p].shape)
+            norms = np.linalg.norm(w, axis=2, keepdims=True)
+            keep = norms == 0.0
+            units[p] = np.where(keep, units[p], w / np.where(keep, 1.0, norms))
+        values = history[-1].copy()
+        values[active] = contract(units, None)[:, 0]
+        history.append(values)
+        done = values[active] - history[-2][active] < cfg.tol
+        converged[active[done]] = True
+        sweeps[active] = sweep
+        stop = done | (sweep == cfg.max_sweeps)
+        if stop.any():
             for p in range(n):
-                w = effective(units, p)
-                norms = np.linalg.norm(w, axis=1)
-                keep = norms == 0.0
-                norms[keep] = 1.0
-                updated = w / norms[:, None]
-                updated[keep] = units[p][keep]
-                units[p] = updated
-            value = full_value(units)
-            trace.append(value)
-            if value - trace[-2] < cfg.tol:
-                converged = True
-                break
-        if best is None or value > best[0]:
-            best = (value, units, converged, trace)
-    assert best is not None
-    value, units, converged, trace = best
+                final[p][active[stop]] = units[p][stop]
+                units[p] = units[p][~stop]
+            active = active[~stop]
+
+    values = history[-1]
+    best = int(np.argmax(values))
     return SeesawResult(
-        value=value,
-        settings=MeasurementSettings(tuple(units)),
-        converged=converged,
+        value=float(values[best]),
+        settings=MeasurementSettings(tuple(u[best] for u in final)),
+        converged=bool(converged[best]),
         scale=scale,
-        trace=tuple(trace),
+        trace=tuple(float(h[best]) for h in history[: sweeps[best] + 1]),
+        restarts=tuple(
+            (float(v), int(s), bool(c)) for v, s, c in zip(values, sweeps, converged)
+        ),
     )
 
 

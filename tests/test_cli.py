@@ -143,6 +143,18 @@ def test_violate_state_options(capsys, tmp_path):
     assert code == 1 and "--lam-deg" in err
     code, _, err = run(capsys, "violate", chsh, "--state", "ghz")
     assert code == 1 and "--parties" in err
+    code, _, err = run(capsys, "violate", chsh, "--state", "bell-pair", "--restarts", "0")
+    assert code == 1 and err.startswith("bellift: error:") and "restarts" in err
+    code, _, err = run(capsys, "violate", chsh, "--state", "bell-pair", "--tol", "nan")
+    assert code == 1 and err.startswith("bellift: error:") and "tol" in err
+
+
+def test_oversized_states_exit_with_the_cap_code(capsys, tmp_path):
+    chsh = write_doc(tmp_path, "chsh.json", mabk(2))
+    code, _, err = run(capsys, "violate", chsh, "--state", "ghz", "--parties", "40")
+    assert code == 2 and "cap" in err
+    code, _, err = run(capsys, "corr-tensor", "--state", "ghz", "--parties", "40")
+    assert code == 2 and "cap" in err
 
 
 def test_corr_tensor_command(capsys):

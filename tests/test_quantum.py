@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from bellift import (
+    ENUMERATION_CAP,
     BellExpression,
+    EnumerationCapExceeded,
     MeasurementSettings,
     PAULIS,
     QuantumState,
@@ -19,6 +21,7 @@ from bellift import (
     correlation_tensor,
     expectation,
     four_party_19,
+    lr_max,
     mabk,
     mabk_optimal_settings,
     make_state,
@@ -61,6 +64,17 @@ def test_make_state_domain_errors():
         make_state("ghz")
     with pytest.raises(ValueError):
         make_state("custom")
+
+
+def test_state_size_caps_refuse_before_allocating():
+    qubits = (ENUMERATION_CAP.bit_length() - 1) // 2  # the most with 4^n entries under the cap
+    assert qubits >= 4  # the named states stay under it
+    with pytest.raises(EnumerationCapExceeded):
+        make_state("ghz", 40)  # a 16 TiB ket if it were built
+    with pytest.raises(EnumerationCapExceeded):
+        make_state("product-zeros", qubits + 1)
+    with pytest.raises(EnumerationCapExceeded):
+        QuantumState(qubits + 1, np.eye(2))  # refused before the shape check
 
 
 def test_generalized_ghz_endpoints():
@@ -248,3 +262,148 @@ def test_mabk_optimal_settings_attain_the_quantum_maximum(n):
     settings = mabk_optimal_settings(n)
     value = expectation(mabk(n), settings, make_state("ghz", n))
     assert abs(value - math.sqrt(2) ** (n - 1)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# see-saw: batch against the per-restart reference
+# ---------------------------------------------------------------------------
+
+
+def _initial_directions(cfg, restart, settings):
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[restart])
+    draws = [rng.normal(size=(m, 3)) for m in settings]
+    return [d / np.linalg.norm(d, axis=1, keepdims=True) for d in draws]
+
+
+def _seesaw_oracle(expr, state, cfg):
+    """The see-saw one restart at a time, with one einsum per value or gradient.
+
+    Returns one ``(value, sweeps, converged, trace)`` per restart.
+    """
+    n = expr.scenario.parties
+    scale = Fraction(1) / lr_max(expr)
+    coeffs = np.array([float(c * scale) for c in expr.coeffs]).reshape(expr.scenario.settings)
+    corr = correlation_tensor(state).values
+
+    def full_value(units):
+        operands = [coeffs, list(range(n)), corr, list(range(n, 2 * n))]
+        for p, u in enumerate(units):
+            operands.extend([u, [p, n + p]])
+        return float(np.einsum(*operands, []))
+
+    def effective(units, p):
+        operands = [coeffs, list(range(n)), corr, list(range(n, 2 * n))]
+        for q, u in enumerate(units):
+            if q != p:
+                operands.extend([u, [q, n + q]])
+        return np.einsum(*operands, [p, n + p])
+
+    outcomes = []
+    for restart in range(cfg.restarts):
+        units = _initial_directions(cfg, restart, expr.scenario.settings)
+        trace = [full_value(units)]
+        converged = False
+        for _ in range(cfg.max_sweeps):
+            for p in range(n):
+                w = effective(units, p)
+                norms = np.linalg.norm(w, axis=1)
+                keep = norms == 0.0
+                norms[keep] = 1.0
+                updated = w / norms[:, None]
+                updated[keep] = units[p][keep]
+                units[p] = updated
+            trace.append(full_value(units))
+            if trace[-1] - trace[-2] < cfg.tol:
+                converged = True
+                break
+        outcomes.append((trace[-1], len(trace) - 1, converged, trace))
+    return outcomes
+
+
+def _weak_mixed_state():
+    rng = np.random.default_rng(0)
+    ket = rng.normal(size=16) + 1j * rng.normal(size=16)
+    rho_pure = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+    p = min(1.0, 0.99 / math.sqrt(sum_squared_correlations(make_state("custom", rho=rho_pure))))
+    return make_state("custom", rho=p * rho_pure + (1 - p) * np.eye(16) / 16)
+
+
+@pytest.mark.parametrize("name", ["chi", "w4", "weak-mixed"])
+def test_seesaw_batch_matches_the_per_restart_oracle(name):
+    fp = four_party_19()
+    state = _weak_mixed_state() if name == "weak-mixed" else make_state(name)
+    cfg = SeesawConfig(restarts=8, seed=0)
+    res = seesaw_maximize(fp, state, cfg)
+    oracle = _seesaw_oracle(fp, state, cfg)
+    assert len(res.restarts) == cfg.restarts
+    for (value, sweeps, converged), (ref, ref_sweeps, ref_converged, _) in zip(
+        res.restarts, oracle
+    ):
+        assert abs(value - ref) < 1e-12
+        assert (sweeps, converged) == (ref_sweeps, ref_converged)
+    values = [o[0] for o in oracle]
+    ranked = sorted(values, reverse=True)
+    winner = values.index(ranked[0])
+    if ranked[0] - ranked[1] > 1e-12:
+        assert res.value == res.restarts[winner][0]
+        assert res.converged == oracle[winner][2]
+        assert np.allclose(res.trace, oracle[winner][3], rtol=0, atol=1e-12)
+
+
+def test_seesaw_restarts_report_every_outcome():
+    res = seesaw_maximize(four_party_19(), make_state("pdc"), SeesawConfig(restarts=3, seed=0))
+    assert max(v for v, _, _ in res.restarts) == res.value
+    assert all(c or s == SeesawConfig().max_sweeps for _, s, c in res.restarts)
+    frozen = seesaw_maximize(CHSH, BELL, SeesawConfig(restarts=3, max_sweeps=0))
+    assert all(s == 0 and not c for _, s, c in frozen.restarts)
+    assert len(frozen.trace) == 1 and not frozen.converged
+
+
+def test_seesaw_single_party_contracts_nothing():
+    expr = BellExpression.from_terms(Scenario((2,)), [((0,), 1), ((1,), 1)])
+    res = seesaw_maximize(expr, make_state("product-zeros", 1), SeesawConfig(restarts=3))
+    assert abs(res.value - 1.0) < 1e-12
+    assert np.allclose(res.settings.vectors[0], [[0, 0, 1], [0, 0, 1]])
+
+
+def test_seesaw_keeps_a_direction_whose_gradient_vanishes():
+    # party 0's setting 2 has no coefficient, so its gradient W is exactly 0
+    expr = BellExpression.from_terms(
+        Scenario((3, 2)), [((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), -1)]
+    ).scaled(Fraction(1, 2))
+    cfg = SeesawConfig(restarts=1, seed=7)
+    initial = _initial_directions(cfg, 0, (3, 2))
+    res = seesaw_maximize(expr, BELL, cfg)
+    assert abs(res.value - math.sqrt(2)) < 1e-9
+    assert np.array_equal(res.settings.vectors[0][2], initial[0][2])
+
+
+def test_seesaw_ties_keep_the_earliest_restart():
+    # no correlations: every value is exactly 0 and every direction stays put
+    cfg = SeesawConfig(restarts=3, seed=5)
+    res = seesaw_maximize(CHSH, make_state("custom", rho=np.eye(4) / 4), cfg)
+    assert res.restarts == ((0.0, 1, True),) * 3
+    initial = _initial_directions(cfg, 0, (2, 2))
+    assert all(np.array_equal(a, b) for a, b in zip(res.settings.vectors, initial))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"restarts": 0},
+        {"max_sweeps": -1},
+        {"tol": -1e-10},
+        {"tol": math.nan},
+        {"tol": math.inf},
+    ],
+)
+def test_seesaw_config_rejects_invalid_values(kwargs):
+    with pytest.raises(ValueError):
+        SeesawConfig(**kwargs)
+
+
+def test_seesaw_batch_cap_refuses_before_allocating():
+    fp = four_party_19()  # 3 settings per party: 9^4 kernel entries per restart
+    restarts = ENUMERATION_CAP // 9**4 + 1
+    with pytest.raises(EnumerationCapExceeded):
+        seesaw_maximize(fp, make_state("ghz4"), SeesawConfig(restarts=restarts))
