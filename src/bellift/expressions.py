@@ -27,6 +27,12 @@ from typing import Iterable, Iterator, Sequence
 
 RationalLike = Fraction | int | str
 
+ENUMERATION_CAP = 2**24
+
+
+class EnumerationCapExceeded(Exception):
+    """Raised when a brute-force enumeration would exceed a configured cap."""
+
 
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, float):
@@ -50,6 +56,11 @@ class Scenario:
         if any(m < 1 for m in settings):
             raise ValueError(f"setting counts must be >= 1, got {settings}")
         object.__setattr__(self, "settings", settings)
+        if self.dimension > ENUMERATION_CAP:
+            raise EnumerationCapExceeded(
+                f"scenario {self} has {self.dimension} joint settings, "
+                f"over the cap of {ENUMERATION_CAP}"
+            )
 
     @property
     def parties(self) -> int:
@@ -174,20 +185,14 @@ class BellExpression:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_scenario(self, other: BellExpression) -> None:
-        if self.scenario != other.scenario:
-            raise ValueError(
-                f"scenario mismatch: {self.scenario} vs {other.scenario}"
-            )
-
     def __add__(self, other: BellExpression) -> BellExpression:
-        self._require_same_scenario(other)
+        _require_same_scenario(self, other)
         return BellExpression(
             self.scenario, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: BellExpression) -> BellExpression:
-        self._require_same_scenario(other)
+        _require_same_scenario(self, other)
         return BellExpression(
             self.scenario, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
@@ -198,6 +203,13 @@ class BellExpression:
     def scaled(self, factor: RationalLike) -> BellExpression:
         f = _as_fraction(factor)
         return BellExpression(self.scenario, tuple(f * c for c in self.coeffs))
+
+
+def _require_same_scenario(*exprs: BellExpression) -> None:
+    scenario = exprs[0].scenario
+    for e in exprs[1:]:
+        if e.scenario != scenario:
+            raise ValueError(f"scenario mismatch: {scenario} vs {e.scenario}")
 
 
 def evaluate(expr: BellExpression, strategy: DeterministicStrategy) -> Fraction:
@@ -223,10 +235,8 @@ def linear_combine(
     """Exact rational linear combination of same-scenario expressions."""
     if not terms:
         raise ValueError("linear_combine needs at least one term")
-    scenario = terms[0][1].scenario
-    acc = BellExpression.zero(scenario)
+    acc = BellExpression.zero(terms[0][1].scenario)
     for weight, expr in terms:
-        acc._require_same_scenario(expr)
         acc = acc + expr.scaled(weight)
     return acc
 
@@ -282,19 +292,6 @@ class SignedSettingMap:
             (tuple(permutation),) * scenario.parties,
             (tuple(signs),) * scenario.parties,
         )
-
-    def inverse(self) -> SignedSettingMap:
-        inv_perms = []
-        inv_signs = []
-        for perm, sgn in zip(self.permutations, self.signs):
-            inv_p = [0] * len(perm)
-            inv_s = [1] * len(perm)
-            for j, pj in enumerate(perm):
-                inv_p[pj] = j
-                inv_s[pj] = sgn[j]
-            inv_perms.append(tuple(inv_p))
-            inv_signs.append(tuple(inv_s))
-        return SignedSettingMap(tuple(inv_perms), tuple(inv_signs))
 
 
 def apply_signed_setting_map(

@@ -30,10 +30,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .expressions import (
+    ENUMERATION_CAP,
     BellExpression,
     DeterministicStrategy,
+    EnumerationCapExceeded,
     Scenario,
     SignedSettingMap,
+    _require_same_scenario,
     apply_signed_setting_map,
     linear_combine,
     permute_parties,
@@ -56,16 +59,6 @@ class LiftDiagnostics:
     compatibility_witness: DeterministicStrategy | None = None
 
 
-def _require_same_scenario(exprs: tuple[BellExpression, ...]) -> Scenario:
-    scenario = exprs[0].scenario
-    for e in exprs[1:]:
-        if e.scenario != scenario:
-            raise ValueError(
-                f"lift inputs must share a scenario, got {e.scenario} vs {scenario}"
-            )
-    return scenario
-
-
 def _prepend_party(
     blocks: tuple[BellExpression, ...],
 ) -> BellExpression:
@@ -84,7 +77,7 @@ def lift2(
     diagnose: bool = True,
 ) -> tuple[BellExpression, LiftDiagnostics]:
     """Two-setting lift; tight output iff both inputs are tight."""
-    _require_same_scenario((i_plus, i_minus))
+    _require_same_scenario(i_plus, i_minus)
     half = Fraction(1, 2)
     out = _prepend_party(
         (
@@ -113,7 +106,7 @@ def compatibility_holds(
     sufficient condition for the three-setting lift to be tight, not a
     characterization.
     """
-    _require_same_scenario((i0, i2, i3))
+    _require_same_scenario(i0, i2, i3)
     i1 = linear_combine([(1, i2), (1, i3), (-1, i0)])
     bound, witness = lr_max_with_witness(i1)
     if bound <= 1:
@@ -132,7 +125,7 @@ def lift3(
     The lifted expression is returned even when compatibility fails; the
     diagnostics then carry a violating witness strategy.
     """
-    _require_same_scenario((i0, i2, i3))
+    _require_same_scenario(i0, i2, i3)
     half = Fraction(1, 2)
     out = _prepend_party(
         (
@@ -160,19 +153,6 @@ def lift3(
         compatibility_witness=witness,
     )
     return out, diag
-
-
-def compatibility_condition_count(k: int) -> int:
-    """Number of validity conditions a K-setting lift would need: 2^(K-1) - K.
-
-    A new party with K settings implies 2^(K-1) sign combinations of the
-    inputs, of which K are the inputs themselves; the remaining combinations
-    must each be valid.  Only K = 2 (no conditions) and K = 3 (one condition)
-    are implemented as lifts; this count is exposed for reference.
-    """
-    if k < 2:
-        raise ValueError("a lift needs at least 2 settings for the new party")
-    return 2 ** (k - 1) - k
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +183,10 @@ def mabk(n: int) -> BellExpression:
     """
     if n < 1:
         raise ValueError("mabk needs at least one party")
+    if n >= ENUMERATION_CAP.bit_length():  # 2^n > cap, without building 2^n
+        raise EnumerationCapExceeded(
+            f"mabk({n}) has 2^{n} coefficients, over the cap of {ENUMERATION_CAP}"
+        )
     expr = BellExpression(Scenario((2,)), (Fraction(1), Fraction(0)))
     for _ in range(n - 1):
         swapped = _swap_first_two_settings(expr)

@@ -21,16 +21,17 @@ from math import gcd
 
 import numpy as np
 
-from .expressions import BellExpression, DeterministicStrategy, Scenario
+from .expressions import (  # the caps are re-exported from here
+    ENUMERATION_CAP,
+    BellExpression,
+    DeterministicStrategy,
+    EnumerationCapExceeded,
+    Scenario,
+)
 from .rational_linalg import integer_rank, solve_unit_rhs
 
-ENUMERATION_CAP = 2**24
 FACET_DIMENSION_CAP = 8
 FACET_VERTEX_CAP = 20
-
-
-class EnumerationCapExceeded(Exception):
-    """Raised when a brute-force enumeration would exceed a configured cap."""
 
 
 def _check_cap(scenario: Scenario, cap: int) -> None:

@@ -1,381 +1,77 @@
-"""Acceptance battery: every headline claim of the library, one line each.
+"""Acceptance battery: each test asserts the rows of one acceptance id of the
+``bellift reproduce`` table (``bellift.report.battery``) and prints
+``ACCEPTANCE <id>: PASS/FAIL — detail`` (see ``pytest -v -s``)."""
 
-Each test prints ``ACCEPTANCE <id>: PASS/FAIL — detail`` so the whole table
-is visible with ``pytest tests/test_acceptance.py -v -s``.
-
-Violation factors (test 06) come in two kinds.  The ghz4 and cluster4
-references are the see-saw maxima.  The w4, pdc and chi references are
-converged local optima of the same see-saw landscape: they reappear among
-single-restart runs, while the multi-restart best lies strictly above them.
-Every best value is checked as a genuine quantum expectation, below the top
-eigenvalue of its Bell operator and below the Cauchy-Schwarz bound.  chi and
-cluster4 are equivalent under local unitaries only after a cyclic relabelling
-of parties 0, 1, 2, which leaves the four_party_19 coefficient tensor
-unchanged, so the two states share one maximum and the chi row checks that.
-"""
-
-import math
-from dataclasses import replace
-from fractions import Fraction
-from itertools import combinations
-
-import numpy as np
 import pytest
 
-from bellift import (
-    BellExpression,
-    MeasurementSettings,
-    Scenario,
-    SeesawConfig,
-    bell_operator,
-    compatibility_holds,
-    contract_coefficients,
-    correlation_tensor,
-    enumerate_facets_brute,
-    expectation,
-    four_party_19,
-    lift2,
-    lr_max,
-    mabk,
-    mabk_critical_lambda,
-    mabk_optimal_settings,
-    make_state,
-    seesaw_maximize,
-    spectrum,
-    sum_squared_correlations,
-    symmetry_images,
-    tightness,
-    wbz333,
-)
+from bellift.report import BatteryContext, battery
 
-CFG = SeesawConfig(restarts=50, seed=0)
-
-# What each test_06 reference is: the see-saw maximum for the state, or a
-# converged local optimum of the see-saw landscape that lies below it.
-REFERENCE_KIND = {
-    "ghz4": "maximum",
-    "w4": "local optimum",
-    "pdc": "local optimum",
-    "chi": "local optimum",
-    "cluster4": "maximum",
-}
-
-
-def line(tag: str, ok: bool, detail: str) -> None:
-    print(f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} — {detail}")
+CHECKS = battery()
+VIOLATIONS = [c for c in CHECKS if c.acceptance.startswith("6[")]
+IDS = [f"{c.acceptance[2:-1]}-{c.expected}" for c in VIOLATIONS]  # state-reference
 
 
 @pytest.fixture(scope="module")
-def fp():
-    return four_party_19()
+def ctx():
+    return BatteryContext(seed=0, restarts=50)
 
 
-@pytest.fixture(scope="module")
-def facets22():
-    return enumerate_facets_brute(Scenario((2, 2)))
+def accept(ctx, acceptance):
+    rows = [check.run(ctx) for check in CHECKS if check.acceptance == acceptance]
+    ok = bool(rows) and all(row.passed for row in rows)
+    detail = "; ".join(f"{row.quantity}: {row.computed}" for row in rows)
+    print(f"ACCEPTANCE {acceptance}: {'PASS' if ok else 'FAIL'} — {detail}")
+    assert ok, [row for row in rows if not row.passed]
 
 
-@pytest.fixture(scope="module")
-def seesaw_results(fp):
-    names = ["ghz4", "w4", "pdc", "chi", "cluster4"]
-    return {name: seesaw_maximize(fp, make_state(name), CFG) for name in names}
+def test_01_chsh_foundation(ctx):
+    accept(ctx, "1")
 
 
-@pytest.fixture(scope="module")
-def mabk4_operator():
-    return bell_operator(mabk(4), mabk_optimal_settings(4))
+def test_02_two_setting_theorem_both_directions(ctx):
+    accept(ctx, "2")
 
 
-def test_01_chsh_foundation():
-    """Two-setting lift of the trivial one-party facets is the tight CHSH."""
-    chsh = mabk(2)
-    ok_bound = lr_max(chsh) == 1
-    rep = tightness(chsh)
-    one = Scenario((2,))
-    lifted, _ = lift2(
-        BellExpression.from_terms(one, [((0,), 1)]),
-        BellExpression.from_terms(one, [((1,), 1)]),
-        diagnose=False,
-    )
-    ok = ok_bound and rep.rank == 4 and rep.is_tight and lifted == chsh
-    line("1", ok, f"lr_max={lr_max(chsh)}, rank={rep.rank}, lift2 reproduces CHSH: {lifted == chsh}")
-    assert ok
+def test_03_mabk_chain(ctx):
+    accept(ctx, "3")
 
 
-def test_02_two_setting_theorem_both_directions(facets22):
-    """All 256 facet pairs lift to facets; any non-tight input breaks it."""
-    tight_pairs = sum(
-        tightness(lift2(f, g, diagnose=False)[0]).is_tight
-        for f in facets22
-        for g in facets22
-    )
-    loose = BellExpression.from_terms(
-        Scenario((2, 2)), [((0, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 2))]
-    )
-    bad = sum(
-        tightness(lift2(loose, f, diagnose=False)[0]).is_tight
-        + tightness(lift2(f, loose, diagnose=False)[0]).is_tight
-        for f in facets22
-    )
-    ok = tight_pairs == 256 and bad == 0
-    line("2", ok, f"tight outputs {tight_pairs}/256; with a non-tight input {bad}/32")
-    assert ok
+def test_04_wbz333_and_symmetry(ctx):
+    accept(ctx, "4")
 
 
-def test_03_mabk_chain(mabk4_operator):
-    """Recursive family: tight for n=2,3,4 and maximally violated by GHZ."""
-    ranks = {n: tightness(mabk(n)).rank for n in (2, 3, 4)}
-    ok_ranks = ranks == {2: 4, 3: 8, 4: 16}
-    factors = {
-        n: seesaw_maximize(mabk(n), make_state("ghz", n), CFG).value for n in (2, 3, 4)
-    }
-    ok_factors = all(
-        abs(factors[n] - math.sqrt(2) ** (n - 1)) <= 1e-6 for n in (2, 3, 4)
-    )
-    eigs = np.linalg.eigvalsh(mabk4_operator)
-    big = 2 * math.sqrt(2)
-    ok_spec = (
-        abs(eigs[-1] - big) <= 1e-8
-        and abs(eigs[0] + big) <= 1e-8
-        and np.abs(eigs[1:-1]).max() <= 1e-8
-    )
-    ok = ok_ranks and ok_factors and ok_spec
-    line(
-        "3",
-        ok,
-        f"ranks {ranks}; ghz factors "
-        + ", ".join(f"{factors[n]:.6f}" for n in (2, 3, 4))
-        + f"; mabk(4) spectrum extremes ±{eigs[-1]:.6f} with {np.abs(eigs[1:-1]).max():.1e} interior",
-    )
-    assert ok
+def test_05_four_party_facet(ctx):
+    accept(ctx, "5")
 
 
-def test_04_wbz333_and_symmetry():
-    """The 3x3x3 facet: exact bound, full rank, and the image identity."""
-    b = wbz333()
-    rep = tightness(b)
-    b1, b2, b3 = symmetry_images()
-    identity = (b + b1) == (b2 + b3)
-    ok = rep.lr_max == 1 and rep.rank == 27 and rep.is_tight and identity
-    line("4", ok, f"lr_max={rep.lr_max}, rank={rep.rank}, identity holds: {identity}")
-    assert ok
+@pytest.mark.parametrize("acceptance", [c.acceptance for c in VIOLATIONS], ids=IDS)
+def test_06_violation_factors(ctx, acceptance):
+    accept(ctx, acceptance)
 
 
-def test_05_four_party_facet(fp):
-    """The lifted four-party inequality is a facet of the 3^4 polytope."""
-    rep = tightness(fp)
-    b, _, b2, b3 = (wbz333(), *symmetry_images())
-    holds, witness = compatibility_holds(b, b2, b3)
-    ok = rep.lr_max == 1 and rep.rank == 81 and rep.is_tight and holds
-    line(
-        "5",
-        ok,
-        f"lr_max={rep.lr_max} over 4096 strategies, rank={rep.rank}, compatibility: {holds}",
-    )
-    assert ok and witness is None
+def test_07_spectrum_at_ghz_optimal_settings(ctx):
+    accept(ctx, "7")
 
 
-@pytest.mark.parametrize(
-    "name, reference",
-    [
-        ("ghz4", 2.263),
-        ("w4", 1.448),
-        ("pdc", 1.612),
-        ("chi", 1.579),
-        ("cluster4", 1.759),
-    ],
-)
-def test_06_violation_factors(fp, seesaw_results, name, reference):
-    """Each reference factor is the see-saw maximum or a recorded local optimum.
-
-    A maximum lies within 0.002 of the best-of-50 value.  A local optimum
-    reappears within 0.002 as a converged single restart at one of the seeds
-    0..49, and the best-of-50 value exceeds it by more than 0.002.  Either way
-    the best value equals Tr(rho B) at its directions and stays below the top
-    eigenvalue of B and below sqrt(sum T^2).
-    """
-    state = make_state(name)
-    best = seesaw_results[name]
-    recomputed = expectation(fp, best.settings, state)
-    top_eig = spectrum(bell_operator(fp, best.settings)).eigenvalues[0]
-    cs_bound = math.sqrt(sum_squared_correlations(state))
-    ok_quantum = (
-        abs(best.value - recomputed) <= 1e-9
-        and best.value <= top_eig + 1e-9
-        and best.value <= cs_bound + 1e-9
-    )
-    detail = (
-        f"see-saw {best.value:.6f} vs {REFERENCE_KIND[name]} {reference}; "
-        f"Tr(rho B) {recomputed:.6f}, top eigenvalue {top_eig:.6f}, "
-        f"sqrt(sum T^2) {cs_bound:.6f}"
-    )
-    if REFERENCE_KIND[name] == "maximum":
-        ok_ref = abs(best.value - reference) <= 2e-3
-    else:
-        hits = []
-        for seed in range(CFG.restarts):
-            single = seesaw_maximize(fp, state, replace(CFG, restarts=1, seed=seed))
-            if single.converged and abs(single.value - reference) <= 2e-3:
-                hits.append((seed, round(single.value, 6)))
-        ok_ref = bool(hits) and best.value > reference + 2e-3
-        detail += f"; census hits (seed, value) {hits}"
-    # chi equals cluster4 up to local unitaries and a party relabelling that
-    # leaves four_party_19 invariant, so both must reach the same maximum
-    ok_twin = True
-    if name == "chi":
-        twin = seesaw_results["cluster4"].value
-        ok_twin = abs(best.value - twin) <= 1e-6
-        detail += f"; cluster4 best {twin:.6f}"
-    ok = ok_quantum and ok_ref and ok_twin
-    line(f"6[{name}]", ok, detail)
-    assert ok, detail
+def test_08_generalized_ghz_family(ctx):
+    accept(ctx, "8")
 
 
-def test_07_spectrum_at_ghz_optimal_settings(fp, seesaw_results):
-    """Operator spectrum: ±2.263, ±1.494 simple; ±0.449, ±0.120 triple."""
-    spec = spectrum(bell_operator(fp, seesaw_results["ghz4"].settings))
-    expected = [(2.263, 1), (1.494, 1), (0.449, 3), (0.120, 3)]
-    expected += [(-v, m) for v, m in reversed(expected)]
-    got = list(spec.groups)
-    ok_groups = len(got) == len(expected) and all(
-        abs(v - ev) <= 2e-3 and m == em for (v, m), (ev, em) in zip(got, expected)
-    )
-    min_abs = min(abs(e) for e in spec.eigenvalues)
-    ok = ok_groups and min_abs >= 0.1
-    line(
-        "7",
-        ok,
-        "groups " + ", ".join(f"{v:+.4f}x{m}" for v, m in got) + f"; min |eig| {min_abs:.4f}",
-    )
-    assert ok
+def test_09_mabk_critical_angle(ctx):
+    accept(ctx, "9")
 
 
-def test_08_generalized_ghz_family(fp):
-    """Small-angle violation, the closed-form T-norm, and an all-angle scan."""
-    res = seesaw_maximize(fp, make_state("generalized-ghz", math.radians(1.4324)), CFG)
-    ok_small = res.value >= 1.000
-    dev = max(
-        abs(
-            sum_squared_correlations(make_state("generalized-ghz", float(lam)))
-            - (5 - 4 * math.cos(4 * lam))
-        )
-        for lam in np.linspace(0.0, math.pi / 4, 50)
-    )
-    ok_norm = dev <= 1e-9
-    grid_cfg = SeesawConfig(restarts=12, seed=0)
-    samples = [
-        seesaw_maximize(fp, make_state("generalized-ghz", (k / 10) * math.pi / 4), grid_cfg).value
-        for k in range(1, 10)
-    ]
-    ok_grid = min(samples) > 1.0
-    ok = ok_small and ok_norm and ok_grid
-    line(
-        "8",
-        ok,
-        f"factor at 1.4324°: {res.value:.6f}; T-norm deviation {dev:.1e}; "
-        f"grid min {min(samples):.6f} over 9 angles",
-    )
-    assert ok
+def test_10_parametrization_identities(ctx):
+    accept(ctx, "10")
 
 
-def test_09_mabk_critical_angle():
-    """Bisection pins the onset of mabk(4) violation for generalized GHZ."""
-    lam_c = mabk_critical_lambda(CFG)
-    ok = abs(lam_c - 10.3524) <= 0.01
-    line("9", ok, f"critical angle {lam_c:.4f}° vs 10.3524°")
-    assert ok
+def test_11_mixture_robustness(ctx):
+    accept(ctx, "11")
 
 
-def test_10_parametrization_identities(fp):
-    """Contracted coefficients: constant norm and exact expectation pairing."""
-    rng = np.random.default_rng(0)
-    worst_norm = 0.0
-    for _ in range(100):
-        angles = [tuple(rng.uniform(0, 2 * math.pi, 3)) for _ in range(4)]
-        alpha = contract_coefficients(fp, MeasurementSettings.from_angles(angles))
-        worst_norm = max(worst_norm, abs(float(np.sum((4 * alpha) ** 2)) - 16.0))
-    ok_norm = worst_norm <= 1e-9
-    worst_pair = 0.0
-    for _ in range(100):
-        ket = rng.normal(size=16) + 1j * rng.normal(size=16)
-        state = make_state("custom", rho=np.outer(ket, ket.conj()) / np.vdot(ket, ket).real)
-        vecs = rng.normal(size=(4, 3, 3))
-        vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-        settings = MeasurementSettings(tuple(vecs))
-        lhs = float(
-            np.sum(correlation_tensor(state).values * contract_coefficients(fp, settings))
-        )
-        worst_pair = max(worst_pair, abs(lhs - expectation(fp, settings, state)))
-    ok_pair = worst_pair <= 1e-10
-    ok = ok_norm and ok_pair
-    line("10", ok, f"norm deviation {worst_norm:.1e} (tol 1e-9); pairing deviation {worst_pair:.1e} (tol 1e-10)")
-    assert ok
+def test_12_cauchy_schwarz_guard(ctx):
+    accept(ctx, "12")
 
 
-def test_11_mixture_robustness(fp, seesaw_results, mabk4_operator):
-    """Top-eigenstate mixtures violate; three-state MABK mixtures never do."""
-    settings = seesaw_results["ghz4"].settings
-    op = bell_operator(fp, settings)
-    eigvals, eigvecs = np.linalg.eigh(op)
-    top5 = eigvecs[:, np.argsort(eigvals)[::-1][:5]]
-    rho5 = (top5 @ top5.conj().T) / 5
-    val5 = expectation(fp, settings, make_state("custom", rho=rho5))
-    ref5 = (2.2629 + 1.4938 + 3 * 0.4491) / 5
-    ok_mix = abs(val5 - ref5) <= 2e-3 and val5 > 1.0
-    m_eigs = np.linalg.eigvalsh(mabk4_operator)
-    worst = max(float(m_eigs[list(t)].sum()) / 3 for t in combinations(range(16), 3))
-    bound = 2 * math.sqrt(2) / 3
-    ok_mabk = worst <= bound + 1e-8
-    ok = ok_mix and ok_mabk
-    line(
-        "11",
-        ok,
-        f"top-5 mixture {val5:.4f} (ref {ref5:.4f}); worst 3-mixture {worst:.6f} <= {bound:.6f}",
-    )
-    assert ok
-
-
-def test_12_cauchy_schwarz_guard(fp):
-    """Weakly correlated states (sum T^2 <= 1) never appear to violate."""
-    rng = np.random.default_rng(0)
-    worst = -math.inf
-    for _ in range(20):
-        ket = rng.normal(size=16) + 1j * rng.normal(size=16)
-        rho_pure = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
-        total = sum_squared_correlations(make_state("custom", rho=rho_pure))
-        p = min(1.0, 0.99 / math.sqrt(total))
-        rho = p * rho_pure + (1 - p) * np.eye(16) / 16
-        state = make_state("custom", rho=rho)
-        assert sum_squared_correlations(state) <= 1.0
-        worst = max(worst, seesaw_maximize(fp, state, CFG).value)
-    ok = worst <= 1.0 + 1e-6
-    line("12", ok, f"max see-saw value {worst:.6f} over 20 weak states")
-    assert ok
-
-
-def test_13_facet_oracle(facets22):
-    """Brute enumeration: 16 = 8 + 8 facets for two parties, 256 for three."""
-    single = sum(1 for f in facets22 if sum(1 for _ in f.terms()) == 1)
-    chsh_like = sum(
-        1
-        for f in facets22
-        if sorted(abs(c) for _, c in f.terms()) == [Fraction(1, 2)] * 4
-    )
-    facets222 = enumerate_facets_brute(Scenario((2, 2, 2)))
-    all_tight = all(tightness(f).is_tight for f in facets22) and all(
-        tightness(f).is_tight for f in facets222
-    )
-    ok = (
-        len(facets22) == 16
-        and single == 8
-        and chsh_like == 8
-        and len(facets222) == 256
-        and all_tight
-    )
-    line(
-        "13",
-        ok,
-        f"two-party: {len(facets22)} ({single} single + {chsh_like} chsh-like); "
-        f"three-party: {len(facets222)}; all tight: {all_tight}",
-    )
-    assert ok
+def test_13_facet_oracle(ctx):
+    accept(ctx, "13")

@@ -157,6 +157,15 @@ def test_oversized_states_exit_with_the_cap_code(capsys, tmp_path):
     assert code == 2 and "cap" in err
 
 
+def test_oversized_expressions_exit_with_the_cap_code(capsys, tmp_path):
+    code, out, err = run(capsys, "mabk", "40")
+    assert code == 2 and "cap" in err and out == ""
+    doc = tmp_path / "thirty.json"
+    doc.write_text(json.dumps({"settings": [2] * 30, "terms": [{"s": [0] * 30, "c": "1"}]}))
+    code, out, err = run(capsys, "lr-bound", str(doc))
+    assert code == 2 and "cap" in err and out == ""
+
+
 def test_corr_tensor_command(capsys):
     code, out, _ = run(capsys, "corr-tensor", "--state", "bell-pair")
     assert code == 0
@@ -192,7 +201,7 @@ def test_exit_codes(capsys, tmp_path):
 
 def test_reproduce_exit_codes(capsys, monkeypatch):
     def fake_report(seed=0, restarts=50):
-        rows = (ReportRow("q", "1", "1", "exact", True),)
+        rows = (ReportRow("q", "1", "1", "exact", True, 0.0),)
         return Report(rows, seed, restarts, 0.0)
 
     monkeypatch.setattr("bellift.cli.reproduce_report", fake_report)
@@ -201,7 +210,7 @@ def test_reproduce_exit_codes(capsys, monkeypatch):
     assert "pass" in out
 
     def failing_report(seed=0, restarts=50):
-        rows = (ReportRow("q", "1", "2", "exact", False),)
+        rows = (ReportRow("q", "1", "2", "exact", False, 0.0),)
         return Report(rows, seed, restarts, 0.0)
 
     monkeypatch.setattr("bellift.cli.reproduce_report", failing_report)
@@ -214,7 +223,7 @@ def test_reproduce_out_accepts_numpy_bool_rows(capsys, monkeypatch, tmp_path):
     # rows whose pass flag came from a numpy comparison must still serialize,
     # and the exit code must stay 3 rather than turning into a write error
     def report_with_numpy_flag(seed=0, restarts=50):
-        rows = (ReportRow("q", "1", "2", "exact", np.bool_(False)),)
+        rows = (ReportRow("q", "1", "2", "exact", np.bool_(False), 0.25),)
         return Report(rows, seed, restarts, 0.0)
 
     monkeypatch.setattr("bellift.cli.reproduce_report", report_with_numpy_flag)
@@ -224,6 +233,7 @@ def test_reproduce_out_accepts_numpy_bool_rows(capsys, monkeypatch, tmp_path):
     payload = json.loads(out_file.read_text())
     assert payload["passed"] is False
     assert payload["rows"][0]["passed"] is False
+    assert payload["rows"][0]["elapsed_s"] == 0.25
 
 
 def test_console_script_is_installed():

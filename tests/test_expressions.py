@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellift import (
+    ENUMERATION_CAP,
     BellExpression,
     DeterministicStrategy,
+    EnumerationCapExceeded,
     Scenario,
     SignedSettingMap,
     apply_signed_setting_map,
@@ -33,6 +35,12 @@ def test_scenario_basics():
     assert tuples[0] == (0, 0)
     assert tuples[-1] == (2, 1)
     assert [s.flat_index(t) for t in tuples] == list(range(6))
+
+
+def test_scenario_dimension_is_capped_before_allocation():
+    assert Scenario((2,) * 24).dimension == ENUMERATION_CAP
+    with pytest.raises(EnumerationCapExceeded, match="cap"):
+        Scenario((2,) * 25)
 
 
 def test_scenario_rejects_bad_settings():
@@ -128,9 +136,21 @@ def test_permute_parties_preserves_values():
         assert evaluate(p, moved) == evaluate(e, strat)
 
 
+def inverse(m: SignedSettingMap) -> SignedSettingMap:
+    """The map that undoes ``m``: setting perm[j] goes back to j with sign[j]."""
+    perms, signs = [], []
+    for perm, sgn in zip(m.permutations, m.signs):
+        inv_p, inv_s = [0] * len(perm), [1] * len(perm)
+        for j, pj in enumerate(perm):
+            inv_p[pj], inv_s[pj] = j, sgn[j]
+        perms.append(inv_p)
+        signs.append(inv_s)
+    return SignedSettingMap(perms, signs)
+
+
 def test_signed_setting_map_roundtrip():
     m = SignedSettingMap(permutations=((1, 0), (0, 1)), signs=((1, -1), (-1, 1)))
-    inv = m.inverse()
+    inv = inverse(m)
     e = CHSH
     assert apply_signed_setting_map(apply_signed_setting_map(e, m), inv) == e
 

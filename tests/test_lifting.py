@@ -8,8 +8,8 @@ import pytest
 from bellift import (
     BellExpression,
     DeterministicStrategy,
+    EnumerationCapExceeded,
     Scenario,
-    compatibility_condition_count,
     compatibility_holds,
     enumerate_facets_brute,
     enumerate_strategies,
@@ -118,13 +118,6 @@ def test_compatibility_failure_produces_witness():
     assert evaluate(implied, witness) == lr_max(implied) == 3
 
 
-def test_compatibility_condition_count():
-    assert compatibility_condition_count(2) == 0
-    assert compatibility_condition_count(3) == 1
-    assert compatibility_condition_count(4) == 4
-    assert compatibility_condition_count(5) == 11
-
-
 # ---------------------------------------------------------------------------
 # built-ins
 # ---------------------------------------------------------------------------
@@ -210,6 +203,11 @@ def test_mabk_base_cases():
         Scenario((2, 2)),
         [((0, 0), "1/2"), ((0, 1), "1/2"), ((1, 0), "1/2"), ((1, 1), "-1/2")],
     )
+
+
+def test_mabk_is_capped_before_allocation():
+    with pytest.raises(EnumerationCapExceeded, match=r"mabk\(25\)"):
+        mabk(25)
 
 
 def test_mabk_three_party_form():
