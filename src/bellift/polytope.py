@@ -1,10 +1,12 @@
 """Brute-force certificates on the local-realistic correlation polytope.
 
 The polytope for a scenario is the convex hull of the admissible vectors of
-all deterministic strategies.  Everything here is exact: strategy values are
-computed in integer arithmetic after clearing coefficient denominators, the
-local-realistic maximum is returned as a Fraction, saturation means value
-exactly 1, and ranks come from fraction-free elimination over Q.
+all deterministic strategies.  Everything here is exact and stays in
+``int``/``Fraction`` arithmetic: strategy values are integers after clearing
+coefficient denominators, the local-realistic maximum is returned as a
+Fraction, saturation means value exactly 1, and both the ranks and the facet
+oracle's hyperplane solves use the one fraction-free elimination of
+``rational_linalg``.
 
 Strategies are ordered lexicographically by their concatenated outcome bits
 (party-major, setting-major; bit 0 encodes outcome +1), so maximizers and
@@ -14,10 +16,11 @@ witnesses are deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from typing import Sequence
 
 import numpy as np
 
@@ -34,11 +37,12 @@ FACET_DIMENSION_CAP = 8
 FACET_VERTEX_CAP = 20
 
 
-def _check_cap(scenario: Scenario, cap: int) -> None:
+def _check_cap(scenario: Scenario) -> None:
     total_bits = sum(scenario.settings)
-    if 2**total_bits > cap:
+    if 2**total_bits > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"scenario {scenario} has 2^{total_bits} strategies, over the cap of {cap}"
+            f"scenario {scenario} has 2^{total_bits} strategies, "
+            f"over the cap of {ENUMERATION_CAP}"
         )
 
 
@@ -56,9 +60,9 @@ def _strategy_from_bits(scenario: Scenario, bits: int) -> DeterministicStrategy:
     return DeterministicStrategy(tuple(outcomes))
 
 
-def enumerate_strategies(scenario: Scenario, cap: int = ENUMERATION_CAP):
+def enumerate_strategies(scenario: Scenario):
     """Yield every deterministic strategy in lexicographic bit order."""
-    _check_cap(scenario, cap)
+    _check_cap(scenario)
     for bits in range(2 ** sum(scenario.settings)):
         yield _strategy_from_bits(scenario, bits)
 
@@ -72,19 +76,17 @@ def _outcome_patterns(m: int) -> np.ndarray:
     return rows
 
 
-def _integer_coeffs(expr: BellExpression) -> tuple[list[int], int]:
-    """Clear denominators: coefficients times their lcm L, plus L."""
-    lcm = 1
-    for c in expr.coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in expr.coeffs], lcm
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times the lcm L of their denominators, plus L."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return [int(v * lcm) for v in values], lcm
 
 
-def _all_strategy_values(expr: BellExpression, cap: int) -> tuple[np.ndarray, int]:
+def _all_strategy_values(expr: BellExpression) -> tuple[np.ndarray, int]:
     """Integer values L*I(s) for every strategy, flat in strategy bit order."""
     scenario = expr.scenario
-    _check_cap(scenario, cap)
-    ints, lcm = _integer_coeffs(expr)
+    _check_cap(scenario)
+    ints, lcm = _clear_denominators(expr.coeffs)
     bound = sum(abs(c) for c in ints)
     # int64 is exact while the largest possible |value| fits; otherwise fall
     # back to Python big ints in an object array.
@@ -98,19 +100,17 @@ def _all_strategy_values(expr: BellExpression, cap: int) -> tuple[np.ndarray, in
     return vals.reshape(-1), lcm
 
 
-def lr_max_with_witness(
-    expr: BellExpression, cap: int = ENUMERATION_CAP
-) -> tuple[Fraction, DeterministicStrategy]:
+def lr_max_with_witness(expr: BellExpression) -> tuple[Fraction, DeterministicStrategy]:
     """Exact local-realistic maximum and the first maximizing strategy."""
-    vals, lcm = _all_strategy_values(expr, cap)
+    vals, lcm = _all_strategy_values(expr)
     best = int(np.argmax(vals))
     return Fraction(int(vals[best]), lcm), _strategy_from_bits(expr.scenario, best)
 
 
 @lru_cache(maxsize=1024)
-def lr_max(expr: BellExpression, cap: int = ENUMERATION_CAP) -> Fraction:
+def lr_max(expr: BellExpression) -> Fraction:
     """Exact maximum of the expression over all deterministic strategies."""
-    return lr_max_with_witness(expr, cap)[0]
+    return lr_max_with_witness(expr)[0]
 
 
 def _vectors_for_strategy_ids(scenario: Scenario, ids: np.ndarray) -> np.ndarray:
@@ -136,18 +136,12 @@ def _vectors_for_strategy_ids(scenario: Scenario, ids: np.ndarray) -> np.ndarray
 
 def _dedupe_rows(rows: np.ndarray) -> np.ndarray:
     """Unique rows, keeping the first occurrence order."""
-    seen: dict[bytes, None] = {}
-    keep = []
-    for i in range(rows.shape[0]):
-        key = rows[i].tobytes()
-        if key not in seen:
-            seen[key] = None
-            keep.append(i)
-    return rows[keep]
+    # a dict keeps each key where it was first inserted; equal keys are equal rows
+    return rows[list({row.tobytes(): i for i, row in enumerate(rows)}.values())]
 
 
 @lru_cache(maxsize=64)
-def distinct_vertices(scenario: Scenario, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def distinct_vertices(scenario: Scenario) -> np.ndarray:
     """All distinct polytope vertices, first-occurrence order, rows of +-1.
 
     Distinct means as vectors: flipping all outcomes of an even number of
@@ -157,7 +151,7 @@ def distinct_vertices(scenario: Scenario, cap: int = ENUMERATION_CAP) -> np.ndar
     a representative.  For a single party the vector is the outcome vector
     itself, so all strategies are scanned.
     """
-    _check_cap(scenario, cap)
+    _check_cap(scenario)
     total = sum(scenario.settings)
     scan = total - 1 if scenario.parties > 1 else total
     ids = np.arange(2**scan, dtype=np.int64)
@@ -184,15 +178,15 @@ class TightnessReport:
 
 
 @lru_cache(maxsize=1024)
-def tightness(expr: BellExpression, cap: int = ENUMERATION_CAP) -> TightnessReport:
+def tightness(expr: BellExpression) -> TightnessReport:
     """Exact facet test: validity (lr_max <= 1) plus full-rank saturation."""
     scenario = expr.scenario
-    vals, lcm = _all_strategy_values(expr, cap)
+    vals, lcm = _all_strategy_values(expr)
     lr = Fraction(int(max(vals)), lcm)
     sat_ids = np.nonzero(vals == lcm)[0]  # value exactly 1
     vecs = _dedupe_rows(_vectors_for_strategy_ids(scenario, sat_ids))
     dim = scenario.dimension
-    rank = integer_rank(vecs.tolist(), stop_at=dim)
+    rank = integer_rank(vecs.tolist())
     valid = lr <= 1
     return TightnessReport(
         lr_max=lr,
@@ -209,8 +203,9 @@ def enumerate_facets_brute(scenario: Scenario) -> tuple[BellExpression, ...]:
 
     Brute force over D-subsets of distinct vertices: solve the exact linear
     system for a hyperplane with RHS 1 and keep solutions valid for every
-    vertex.  Deduplication is by exact coefficient tuple; output order follows
-    the first discovering subset.  Hyperplanes through the origin cannot occur
+    vertex, checked in integers after clearing denominators.  Deduplication
+    is by exact coefficient tuple; output order follows the first
+    discovering subset.  Hyperplanes through the origin cannot occur
     here (RHS is pinned to 1), and inversion symmetry makes RHS 1 a complete
     normalization.
     """
@@ -227,23 +222,17 @@ def enumerate_facets_brute(scenario: Scenario) -> tuple[BellExpression, ...]:
             f"facet enumeration supports <= {FACET_VERTEX_CAP} vertices, "
             f"scenario {scenario} has {nverts}"
         )
-    vert_rows = [[int(x) for x in row] for row in verts]
-    verts_f = verts.astype(np.float64)
     found: dict[tuple[Fraction, ...], BellExpression] = {}
     for subset in itertools.combinations(range(nverts), dim):
-        solution = solve_unit_rhs([vert_rows[i] for i in subset])
+        solution = solve_unit_rhs(verts[list(subset)].tolist())
         if solution is None:
             continue
-        # cheap float screen first; exact confirmation below
-        approx = verts_f @ np.array([float(c) for c in solution])
-        if approx.max() > 1.0 + 1e-6:
-            continue
-        values = [
-            sum(c * x for c, x in zip(solution, row)) for row in vert_rows
-        ]
-        if any(v > 1 for v in values):
-            continue
         key = tuple(solution)
-        if key not in found:
+        if key in found:
+            continue
+        # valid iff L*x . v <= L for every vertex v; entries stay far inside
+        # int64 (|det| <= 8^4 for +-1 matrices under the dimension cap)
+        ints, lcm = _clear_denominators(key)
+        if (verts @ np.array(ints, dtype=np.int64)).max() <= lcm:
             found[key] = BellExpression(scenario, key)
     return tuple(found.values())

@@ -7,9 +7,8 @@ Conventions:
 * Measurement directions are real unit 3-vectors; the observable for
   direction v is ``v . (sigma_x, sigma_y, sigma_z)``.
 * The correlation tensor of an n-qubit state holds the 3^n expectation
-  values of products of one local basis observable per party; with the
-  default bases these are the Pauli x/y/z products.  The sum of its squared
-  entries is invariant under local rotations.
+  values of products of one Pauli x/y/z observable per party.  The sum of
+  its squared entries is invariant under local unitaries.
 * Violation factors are Bell expectation values divided by the
   local-realistic bound; expressions are rescaled to lr_max = 1 before any
   quantum analysis (the scale, if not 1, is logged and reported).
@@ -224,55 +223,26 @@ class MeasurementSettings:
         object.__setattr__(self, "vectors", tuple(vecs))
 
     @classmethod
-    def from_angles(
-        cls,
-        angles: Sequence[tuple[float, float, float]],
-        bases: Sequence[np.ndarray] | None = None,
-    ) -> MeasurementSettings:
+    def from_angles(cls, angles: Sequence[tuple[float, float, float]]) -> MeasurementSettings:
         """Three settings per party from angles (chi, theta, phi).
 
-        Settings 0 and 1 are ``cos(chi) X1 +- sin(chi) X2`` and setting 2 is
-        the arbitrary direction ``sin(theta) sin(phi) X1 +
-        sin(theta) cos(phi) X2 + cos(theta) X3``, where X1..X3 are the rows
-        of the party's basis triad (default: the coordinate axes).  Any pair
-        of unit directions can be brought to the settings-0/1 form by a
-        suitable choice of triad, so this parametrization loses nothing.
+        Settings 0 and 1 are ``cos(chi) x +- sin(chi) y`` and setting 2 is
+        the arbitrary direction ``sin(theta) sin(phi) x +
+        sin(theta) cos(phi) y + cos(theta) z`` in the coordinate axes
+        x, y, z.  Any pair of unit directions is brought to the settings-0/1
+        form by a local rotation, which conjugates the Bell operator by a
+        local unitary, so up to local unitaries this parametrization loses
+        nothing.
         """
-        parties = len(angles)
-        triads = _default_bases(parties) if bases is None else list(bases)
         vectors = []
-        for (chi, theta, phi), triad in zip(angles, triads):
-            x1, x2, x3 = np.asarray(triad, dtype=np.float64)
-            a0 = math.cos(chi) * x1 + math.sin(chi) * x2
-            a1 = math.cos(chi) * x1 - math.sin(chi) * x2
-            a2 = (
-                math.sin(theta) * math.sin(phi) * x1
-                + math.sin(theta) * math.cos(phi) * x2
-                + math.cos(theta) * x3
-            )
-            vectors.append(np.vstack([a0, a1, a2]))
+        for chi, theta, phi in angles:
+            c, s = math.cos(chi), math.sin(chi)
+            a2 = [math.sin(theta) * math.sin(phi), math.sin(theta) * math.cos(phi), math.cos(theta)]
+            vectors.append(np.array([[c, s, 0.0], [c, -s, 0.0], a2]))
         return cls(tuple(vectors))
 
     def matches(self, scenario: Scenario) -> bool:
         return tuple(v.shape[0] for v in self.vectors) == scenario.settings
-
-
-def _default_bases(parties: int) -> list[np.ndarray]:
-    return [np.eye(3)] * parties
-
-
-def _check_bases(bases: Sequence[np.ndarray] | None, parties: int) -> list[np.ndarray]:
-    if bases is None:
-        return _default_bases(parties)
-    out = []
-    for b in bases:
-        arr = np.asarray(b, dtype=np.float64)
-        if arr.shape != (3, 3) or np.abs(arr @ arr.T - np.eye(3)).max() > 1e-9:
-            raise ValueError("bases must be orthonormal triads (rows)")
-        out.append(arr)
-    if len(out) != parties:
-        raise ValueError("one basis triad per party required")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +327,15 @@ class CorrelationTensor:
         object.__setattr__(self, "values", values)
 
 
-def correlation_tensor(
-    state: QuantumState, bases: Sequence[np.ndarray] | None = None
-) -> CorrelationTensor:
-    """Expectation values Tr(rho x_i1 ... x_in) over the local triads."""
+def correlation_tensor(state: QuantumState) -> CorrelationTensor:
+    """Expectation values Tr(rho sigma_i1 ... sigma_in) over the Paulis."""
     n = state.n
-    triads = _check_bases(bases, n)
     rho_t = state.rho.reshape((2,) * (2 * n))
     operands: list = [rho_t, list(range(2 * n))]
     out = []
-    for p, triad in enumerate(triads):
-        obs = np.einsum("ji,ikl->jkl", triad, PAULIS)
+    for p in range(n):
         # Tr(rho X) contracts rho[a, b] with X[b, a]
-        operands.extend([obs, [2 * n + p, n + p, p]])
+        operands.extend([PAULIS, [2 * n + p, n + p, p]])
         out.append(2 * n + p)
     values = np.einsum(*operands, out)
     if np.abs(values.imag).max() > 1e-10:
@@ -377,34 +343,27 @@ def correlation_tensor(
     return CorrelationTensor(n, values.real)
 
 
-def sum_squared_correlations(
-    state: QuantumState, bases: Sequence[np.ndarray] | None = None
-) -> float:
-    """Sum of squared correlation-tensor entries (local-rotation invariant)."""
-    t = correlation_tensor(state, bases)
+def sum_squared_correlations(state: QuantumState) -> float:
+    """Sum of squared correlation-tensor entries (local-unitary invariant)."""
+    t = correlation_tensor(state)
     return float(np.sum(t.values**2))
 
 
-def contract_coefficients(
-    expr: BellExpression,
-    settings: MeasurementSettings,
-    bases: Sequence[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Coefficients of the expression as a tensor over the local triads.
+def contract_coefficients(expr: BellExpression, settings: MeasurementSettings) -> np.ndarray:
+    """Coefficients of the expression as a tensor over the Pauli axes.
 
     The returned alpha-tilde satisfies ``<T, alpha-tilde> = Tr(rho B)`` for
-    every state, where T is the correlation tensor over the same bases.
+    every state, where T is the correlation tensor.
     """
     scenario = expr.scenario
     if not settings.matches(scenario):
         raise ValueError(f"settings shape does not match scenario {scenario}")
     n = scenario.parties
-    triads = _check_bases(bases, n)
     coeffs = np.array([float(c) for c in expr.coeffs]).reshape(scenario.settings)
     operands: list = [coeffs, list(range(n))]
     out = []
-    for p, (vecs, triad) in enumerate(zip(settings.vectors, triads)):
-        operands.extend([vecs @ triad.T, [p, n + p]])
+    for p, vecs in enumerate(settings.vectors):
+        operands.extend([vecs, [p, n + p]])
         out.append(n + p)
     return np.einsum(*operands, out)
 

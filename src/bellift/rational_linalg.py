@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals (fraction-free, deterministic).
 
-Rank uses Bareiss-style fraction-free elimination on integer rows, so vertex
-matrices (entries +-1) never leave integer arithmetic and the result is an
-exact rank over Q.  Pivots are chosen as the first nonzero entry in column
-order, which makes the computation deterministic for a given row order.
+One Bareiss fraction-free elimination serves both the rank and the unit
+solves, so vertex matrices (entries +-1) never leave integer arithmetic until
+the final back-substitution in ``Fraction``.  Pivots are chosen as the first
+nonzero entry in column order, which makes the computation deterministic for
+a given row order.
 """
 
 from __future__ import annotations
@@ -12,22 +13,19 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def integer_rank(rows: Sequence[Sequence[int]], stop_at: int | None = None) -> int:
-    """Exact rank over Q of a matrix with integer entries.
+def _eliminate(m: list[list[int]], ncols: int) -> int:
+    """Bareiss forward elimination of ``m`` in place; return the rank.
 
-    ``stop_at`` allows early exit once the rank reaches a target (the true
-    rank is then at least the returned value; callers use it with the ambient
-    dimension, where equality is what matters).
+    Pivots are taken from the first ``ncols`` columns only; columns past them
+    (an augmented right-hand side) are carried along.  Afterwards row i < rank
+    holds the integer triangle: its pivot is the first nonzero entry.
     """
-    m = [[int(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    limit = min(nrows, ncols) if stop_at is None else min(stop_at, nrows, ncols)
+    nrows = len(m)
+    width = len(m[0]) if m else 0
     rank = 0
     prev_pivot = 1
     for col in range(ncols):
-        if rank >= limit:
+        if rank >= nrows:
             break
         pivot_row = None
         for i in range(rank, nrows):
@@ -42,7 +40,7 @@ def integer_rank(rows: Sequence[Sequence[int]], stop_at: int | None = None) -> i
         for i in range(rank + 1, nrows):
             f = m[i][col]
             row_i, row_r = m[i], m[rank]
-            for k in range(col + 1, ncols):
+            for k in range(col + 1, width):
                 row_i[k] = (pivot * row_i[k] - f * row_r[k]) // prev_pivot
             row_i[col] = 0
         prev_pivot = pivot
@@ -50,38 +48,28 @@ def integer_rank(rows: Sequence[Sequence[int]], stop_at: int | None = None) -> i
     return rank
 
 
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank over Q of a matrix with integer entries."""
+    m = [[int(x) for x in row] for row in rows]
+    return _eliminate(m, len(m[0]) if m else 0)
+
+
 def solve_unit_rhs(matrix: Sequence[Sequence[int]]) -> list[Fraction] | None:
     """Solve ``M x = (1, ..., 1)`` exactly, or return None if M is singular.
 
-    M must be square with integer entries.  Plain Gaussian elimination over
-    Fractions; the first nonzero entry in column order is the pivot.
+    M must be square with integer entries.  The augmented rows ``[M | 1]``
+    are eliminated in integers; only the back-substitution uses Fractions.
     """
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(1)] for row in matrix]
+    aug = [[int(x) for x in row] + [1] for row in matrix]
     if any(len(row) != n + 1 for row in aug):
         raise ValueError("matrix must be square")
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if aug[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for i in range(col + 1, n):
-            f = aug[i][col]
-            if not f:
-                continue
-            ratio = f / pivot
-            row_i, row_c = aug[i], aug[col]
-            for k in range(col, n + 1):
-                row_i[k] -= ratio * row_c[k]
+    if _eliminate(aug, n) < n:
+        return None
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
-        acc = aug[i][n]
         row = aug[i]
+        acc = Fraction(row[n])
         for k in range(i + 1, n):
             acc -= row[k] * x[k]
         x[i] = acc / row[i]

@@ -59,8 +59,9 @@ def test_enumeration_yields_unique_strategies():
 
 
 def test_enumeration_cap():
+    # 2^25 strategies, over the 2^24 cap: refused on the first next()
     with pytest.raises(EnumerationCapExceeded):
-        list(enumerate_strategies(TWO, cap=8))
+        list(enumerate_strategies(Scenario((25,))))
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +184,20 @@ def test_facet_oracle_counts():
     assert len(enumerate_facets_brute(Scenario((2, 2, 2)))) == 256
 
 
-def test_facet_oracle_matches_qhull():
-    # independent oracle: count supporting hyperplanes of the hull
+@pytest.mark.parametrize("settings", [(2, 2), (2, 3), (2, 2, 2)], ids=str)
+def test_facet_oracle_matches_qhull(settings):
+    # independent oracle: the supporting hyperplanes of the hull, a.x <= 1
     pytest.importorskip("scipy")
     from scipy.spatial import ConvexHull
 
-    verts = np.asarray(distinct_vertices(TWO), dtype=float)
-    planes = np.unique(np.round(ConvexHull(verts).equations, 9), axis=0)
-    assert planes.shape[0] == len(enumerate_facets_brute(TWO))
+    scenario = Scenario(settings)
+    equations = ConvexHull(np.asarray(distinct_vertices(scenario), dtype=float)).equations
+    # qhull writes n.x + b <= 0 with b < 0 (the origin is interior)
+    planes = {tuple(row) for row in np.round(equations[:, :-1] / -equations[:, -1:], 9)}
+    facets = {
+        tuple(np.round([float(c) for c in f.coeffs], 9)) for f in enumerate_facets_brute(scenario)
+    }
+    assert planes == facets
 
 
 def test_facet_oracle_output_is_certified():

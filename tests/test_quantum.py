@@ -126,12 +126,16 @@ def test_sum_squared_correlations_reference_values():
 
 
 def test_sum_squared_correlations_is_rotation_invariant():
+    # a local unitary rotates each party's Pauli axes: rho -> U rho U^dagger
     rng = np.random.default_rng(5)
     state = make_state("pdc")
     base = sum_squared_correlations(state)
     for _ in range(5):
-        bases = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(4)]
-        assert abs(sum_squared_correlations(state, bases) - base) < 1e-9
+        gaussians = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+        u = kron_chain([np.linalg.qr(g)[0] for g in gaussians])
+        rotated = QuantumState(4, u @ state.rho @ u.conj().T)
+        assert not np.allclose(correlation_tensor(rotated).values, correlation_tensor(state).values)
+        assert abs(sum_squared_correlations(rotated) - base) < 1e-9
 
 
 def test_generalized_ghz_closed_form():

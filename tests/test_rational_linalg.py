@@ -25,11 +25,6 @@ def test_rank_matches_float_oracle_on_random_matrices():
         assert integer_rank(m.tolist()) == np.linalg.matrix_rank(m.astype(float))
 
 
-def test_rank_stop_at_short_circuits():
-    m = np.eye(6, dtype=int).tolist()
-    assert integer_rank(m, stop_at=3) == 3
-
-
 def test_rank_survives_big_integers():
     big = 10**30
     m = [[big, 0], [0, big], [big, big]]
