@@ -1,20 +1,20 @@
-"""Enumerating every facet of the smallest correlation polytopes.
+"""Enumerating every facet of small correlation polytopes.
 
-For up to 8 dimensions and 20 distinct vertices the library can find all
-facets by brute force: solve for the hyperplane through each spanning
-subset of vertices and keep the valid ones.  The two-party two-setting
-polytope has 16 facets (8 CHSH variants and 8 trivial single-correlation
-bounds); the three-party two-setting polytope has 256.
+For up to 64 distinct vertices the library finds all facets exactly, with
+an integer double-description method on the cone of valid inequalities.
+The two-party two-setting polytope has 16 facets (8 CHSH variants and 8
+trivial single-correlation bounds); the three-party two-setting polytope
+has 256; the two-party three-setting polytope has 90.
 """
 
 from collections import Counter
 
-from bellift import Scenario, distinct_vertices, enumerate_facets_brute, tightness
+from bellift import Scenario, distinct_vertices, enumerate_facets, tightness
 
-for settings in [(2,), (2, 2), (2, 2, 2)]:
+for settings in [(2,), (2, 2), (2, 2, 2), (3, 3)]:
     scenario = Scenario(settings)
     verts = distinct_vertices(scenario)
-    facets = enumerate_facets_brute(scenario)
+    facets = enumerate_facets(scenario)
     shapes = Counter(sum(1 for _ in f.terms()) for f in facets)
     print(f"scenario {settings}: {verts.shape[0]} vertices, {len(facets)} facets")
     print("  facets by term count:", dict(sorted(shapes.items())))
@@ -23,7 +23,7 @@ for settings in [(2,), (2, 2), (2, 2, 2)]:
 print("\nall enumerated facets certified tight (rank = dimension)")
 
 print("\nthe 8 CHSH variants of the (2, 2) polytope:")
-for f in enumerate_facets_brute(Scenario((2, 2))):
+for f in enumerate_facets(Scenario((2, 2))):
     terms = dict(f.terms())
     if len(terms) == 4:
         signs = "".join("+" if terms[idx] > 0 else "-" for idx in sorted(terms))

@@ -32,7 +32,7 @@ from .lifting import (
 )
 from .polytope import (
     EnumerationCapExceeded,
-    enumerate_facets_brute,
+    enumerate_facets,
     lr_max_with_witness,
     tightness,
 )
@@ -148,7 +148,7 @@ def _build_parser() -> _Parser:
     p = add("tightness", "facet certificate: validity, saturation count, exact rank")
     p.add_argument("expr")
 
-    p = add("facets", "brute-force facet enumeration for a tiny scenario")
+    p = add("facets", "exact facet enumeration for a small scenario")
     p.add_argument("settings", type=int, nargs="+", help="settings per party, e.g. 2 2")
 
     p = add("lift2", "two-setting lift of a facet pair (new party first)")
@@ -224,7 +224,7 @@ def _run(args: argparse.Namespace) -> int:
             args.out,
         )
     elif cmd == "facets":
-        facets = enumerate_facets_brute(Scenario(tuple(args.settings)))
+        facets = enumerate_facets(Scenario(tuple(args.settings)))
         _emit(
             {
                 "settings": list(args.settings),

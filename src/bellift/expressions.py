@@ -28,13 +28,27 @@ from typing import Iterable, Iterator, Sequence
 RationalLike = Fraction | int | str
 
 ENUMERATION_CAP = 2**24
+# Exact coefficients are Python Fractions, built one object at a time, so
+# expressions get a far smaller cap than the float arrays of the quantum layer.
+EXACT_COEFFICIENT_CAP = 2**16
 
 
 class EnumerationCapExceeded(Exception):
-    """Raised when a brute-force enumeration would exceed a configured cap."""
+    """Raised when an enumeration or an exact tensor would exceed a configured cap."""
+
+
+def _require_exact_size(scenario: Scenario) -> None:
+    """Refuse, before any coefficient is built, an expression over the cap."""
+    if scenario.dimension > EXACT_COEFFICIENT_CAP:
+        raise EnumerationCapExceeded(
+            f"an expression on scenario {scenario} has {scenario.dimension} exact "
+            f"coefficients, over the cap of {EXACT_COEFFICIENT_CAP}"
+        )
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
+    if type(value) is Fraction:  # immutable, so it is shared rather than copied
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"coefficients must be exact rationals, got float {value!r}; "
@@ -123,6 +137,7 @@ class BellExpression:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        _require_exact_size(self.scenario)
         coeffs = tuple(_as_fraction(c) for c in self.coeffs)
         if len(coeffs) != self.scenario.dimension:
             raise ValueError(
@@ -135,6 +150,7 @@ class BellExpression:
 
     @classmethod
     def zero(cls, scenario: Scenario) -> BellExpression:
+        _require_exact_size(scenario)
         return cls(scenario, (Fraction(0),) * scenario.dimension)
 
     @classmethod
@@ -144,6 +160,7 @@ class BellExpression:
         terms: Iterable[tuple[Sequence[int], RationalLike]],
     ) -> BellExpression:
         """Build from sparse ``(setting tuple, coefficient)`` pairs."""
+        _require_exact_size(scenario)
         coeffs = [Fraction(0)] * scenario.dimension
         for idx, c in terms:
             coeffs[scenario.flat_index(idx)] += _as_fraction(c)
@@ -163,6 +180,7 @@ class BellExpression:
         """
         if len(factors) != scenario.parties:
             raise ValueError("one weight vector per party required")
+        _require_exact_size(scenario)
         s = _as_fraction(scale)
         coeffs = []
         for idx in scenario.index_tuples():

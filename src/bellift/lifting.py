@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .expressions import (
-    ENUMERATION_CAP,
+    EXACT_COEFFICIENT_CAP,
     BellExpression,
     DeterministicStrategy,
     EnumerationCapExceeded,
@@ -183,9 +183,9 @@ def mabk(n: int) -> BellExpression:
     """
     if n < 1:
         raise ValueError("mabk needs at least one party")
-    if n >= ENUMERATION_CAP.bit_length():  # 2^n > cap, without building 2^n
+    if n >= EXACT_COEFFICIENT_CAP.bit_length():  # 2^n > cap, without building 2^n
         raise EnumerationCapExceeded(
-            f"mabk({n}) has 2^{n} coefficients, over the cap of {ENUMERATION_CAP}"
+            f"mabk({n}) has 2^{n} coefficients, over the cap of {EXACT_COEFFICIENT_CAP}"
         )
     expr = BellExpression(Scenario((2,)), (Fraction(1), Fraction(0)))
     for _ in range(n - 1):

@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals (fraction-free, deterministic).
 
-One Bareiss fraction-free elimination serves both the rank and the unit
-solves, so vertex matrices (entries +-1) never leave integer arithmetic until
-the final back-substitution in ``Fraction``.  Pivots are chosen as the first
-nonzero entry in column order, which makes the computation deterministic for
-a given row order.
+One Bareiss fraction-free elimination serves both the rank and the kernel
+vectors, so integer matrices (vertex rows of entries +-1) never leave
+integer arithmetic: the kernel back-substitution scales instead of dividing.
+Pivots are chosen as the first nonzero entry in column order, which makes
+the computation deterministic for a given row order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Sequence
 
 
@@ -54,23 +54,30 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return _eliminate(m, len(m[0]) if m else 0)
 
 
-def solve_unit_rhs(matrix: Sequence[Sequence[int]]) -> list[Fraction] | None:
-    """Solve ``M x = (1, ..., 1)`` exactly, or return None if M is singular.
+def integer_kernel_vector(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The primitive integer vector spanning the kernel of a corank-1 matrix.
 
-    M must be square with integer entries.  The augmented rows ``[M | 1]``
-    are eliminated in integers; only the back-substitution uses Fractions.
+    The matrix has integer entries and rank one less than its column count,
+    so its kernel over Q is a line; the generator returned has coprime
+    entries (its sign is left to the caller).  The back-substitution stays in
+    integers by scaling the partial solution whenever a pivot does not
+    divide.
     """
-    n = len(matrix)
-    aug = [[int(x) for x in row] + [1] for row in matrix]
-    if any(len(row) != n + 1 for row in aug):
-        raise ValueError("matrix must be square")
-    if _eliminate(aug, n) < n:
-        return None
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        row = aug[i]
-        acc = Fraction(row[n])
-        for k in range(i + 1, n):
-            acc -= row[k] * x[k]
-        x[i] = acc / row[i]
-    return x
+    m = [[int(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    rank = _eliminate(m, ncols)
+    if rank != ncols - 1:
+        raise ValueError(f"kernel is not a line: rank {rank} with {ncols} columns")
+    pivots = [next(k for k, x in enumerate(m[i]) if x) for i in range(rank)]
+    free = next(k for k in range(ncols) if k not in pivots)
+    x = [0] * ncols
+    x[free] = 1
+    for i in range(rank - 1, -1, -1):
+        col, row = pivots[i], m[i]
+        s = sum(row[k] * x[k] for k in range(col + 1, ncols))
+        g = math.gcd(s, row[col])
+        scale = abs(row[col]) // g
+        x = [xk * scale for xk in x]
+        x[col] = -(s // g) * (1 if row[col] > 0 else -1)
+    g = math.gcd(*x)
+    return [xk // g for xk in x]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .expressions import BellExpression, Scenario
 from .lifting import compatibility_holds, four_party_19, lift2, mabk, symmetry_images, wbz333
-from .polytope import enumerate_facets_brute, lr_max, tightness
+from .polytope import enumerate_facets, lr_max, tightness
 from .quantum import (
     MeasurementSettings, SeesawConfig, SeesawResult, bell_operator, contract_coefficients,
     correlation_tensor, expectation, make_state, mabk_critical_lambda, mabk_optimal_settings,
@@ -108,7 +108,7 @@ class BatteryContext:
 
     @cached_property
     def facets22(self) -> tuple[BellExpression, ...]:
-        return enumerate_facets_brute(Scenario((2, 2)))
+        return enumerate_facets(Scenario((2, 2)))
 
     def best(self, state_name: str) -> SeesawResult:
         """The see-saw on four_party_19 for a named state."""
@@ -354,7 +354,9 @@ def _cauchy_schwarz_guard(ctx: BatteryContext) -> tuple[bool, str]:
 
 
 def _facets_tight(ctx: BatteryContext) -> tuple[bool, str]:
-    facets = ctx.facets22 + enumerate_facets_brute(Scenario((2, 2, 2)))
+    facets = ctx.facets22 + tuple(
+        f for s in [(2, 2, 2), (3, 3)] for f in enumerate_facets(Scenario(s))
+    )
     ok = all(tightness(f).is_tight for f in facets)
     return ok, "all tight" if ok else "counterexample found"
 
@@ -435,14 +437,16 @@ def battery() -> tuple[Check, ...]:
         # Cauchy-Schwarz guard
         Check("12", "see-saw stays classical when sum T^2 <= 1 (20 random mixed states)", "pass",
               "1 + 1e-6", _cauchy_schwarz_guard),
-        # brute-force facet oracle
+        # facet oracle
         _exact("13", "single-correlation facets among the 16", "8",
                lambda c: sum(len(list(f.terms())) == 1 for f in c.facets22)),
         _exact("13", "chsh-variant facets among the 16", "8", lambda c: sum(
             sorted(abs(x) for _, x in f.terms()) == [Fraction(1, 2)] * 4 for f in c.facets22)),
         _exact("13", "facet count, three parties x two settings", "256",
-               lambda c: len(enumerate_facets_brute(Scenario((2, 2, 2))))),
-        Check("13", "every brute-oracle facet passes the tightness test", "pass", "exact",
+               lambda c: len(enumerate_facets(Scenario((2, 2, 2))))),
+        _exact("13", "facet count, two parties x three settings", "90",
+               lambda c: len(enumerate_facets(Scenario((3, 3))))),
+        Check("13", "every facet-oracle facet passes the tightness test", "pass", "exact",
               _facets_tight),
     )
 

@@ -65,6 +65,8 @@ def test_facets_command(capsys):
     payload = json.loads(out)
     assert payload["count"] == 16
     assert all(parse_expression(doc) for doc in payload["facets"])
+    code, out, _ = run(capsys, "facets", "3", "3")
+    assert code == 0 and json.loads(out)["count"] == 90
 
 
 def test_lift2_command(capsys, tmp_path):
@@ -158,8 +160,9 @@ def test_oversized_states_exit_with_the_cap_code(capsys, tmp_path):
 
 
 def test_oversized_expressions_exit_with_the_cap_code(capsys, tmp_path):
-    code, out, err = run(capsys, "mabk", "40")
-    assert code == 2 and "cap" in err and out == ""
+    for n in ("40", "24"):
+        code, out, err = run(capsys, "mabk", n)
+        assert code == 2 and "cap" in err and out == ""
     doc = tmp_path / "thirty.json"
     doc.write_text(json.dumps({"settings": [2] * 30, "terms": [{"s": [0] * 30, "c": "1"}]}))
     code, out, err = run(capsys, "lr-bound", str(doc))
@@ -188,7 +191,7 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "lr-bound", str(bad))
     assert code == 1 and "out of bounds" in err
 
-    code, _, err = run(capsys, "facets", "3", "3")
+    code, _, err = run(capsys, "facets", "3", "3", "3")  # 128 vertices > 64
     assert code == 2 and "cap" in err
 
     code, _, err = run(capsys, "lr-bound", str(tmp_path / "missing.json"))

@@ -1,5 +1,6 @@
 """Core expression types: exactness, evaluation, and relabelling."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from bellift import (
     ENUMERATION_CAP,
+    EXACT_COEFFICIENT_CAP,
     BellExpression,
     DeterministicStrategy,
     EnumerationCapExceeded,
@@ -41,6 +43,26 @@ def test_scenario_dimension_is_capped_before_allocation():
     assert Scenario((2,) * 24).dimension == ENUMERATION_CAP
     with pytest.raises(EnumerationCapExceeded, match="cap"):
         Scenario((2,) * 25)
+
+
+def test_exact_coefficients_are_capped_before_allocation():
+    assert len(BellExpression.zero(Scenario((2,) * 16)).coeffs) == EXACT_COEFFICIENT_CAP
+    wide = Scenario((2,) * 17)  # a valid scenario, but 2^17 exact coefficients
+    builds = (
+        lambda: BellExpression.zero(wide),
+        lambda: BellExpression.from_terms(wide, []),
+        lambda: BellExpression.from_product(wide, [(1, 0)] * 17),
+        lambda: BellExpression(wide, (Fraction(0) for _ in range(wide.dimension))),
+    )
+    tracemalloc.start()
+    try:
+        for build in builds:
+            with pytest.raises(EnumerationCapExceeded, match="exact coefficients"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # a list of 2^17 coefficients alone takes 1 MiB
 
 
 def test_scenario_rejects_bad_settings():

@@ -11,7 +11,7 @@ from bellift import (
     EnumerationCapExceeded,
     Scenario,
     compatibility_holds,
-    enumerate_facets_brute,
+    enumerate_facets,
     enumerate_strategies,
     evaluate,
     four_party_19,
@@ -58,8 +58,9 @@ def test_lift2_requires_shared_scenario():
 
 
 def test_lift2_theorem_sample_both_directions():
-    facets = enumerate_facets_brute(Scenario((2, 2)))
-    f, g = facets[0], facets[7]
+    facets = enumerate_facets(Scenario((2, 2)))
+    f = next(e for e in facets if len(list(e.terms())) == 4)  # a CHSH variant
+    g = next(e for e in facets if len(list(e.terms())) == 1)  # a single correlation
     assert tightness(lift2(f, g, diagnose=False)[0]).is_tight
     loose = BellExpression.from_terms(
         Scenario((2, 2)), [((0, 0), "1/2"), ((0, 1), "1/2")]

@@ -1,5 +1,7 @@
 """Strategy enumeration, exact bounds, tightness, and the facet oracle."""
 
+import importlib.util
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +16,14 @@ from bellift import (
     SignedSettingMap,
     apply_signed_setting_map,
     distinct_vertices,
-    enumerate_facets_brute,
+    enumerate_facets,
     enumerate_strategies,
     evaluate,
+    lift2,
     lr_max,
     lr_max_with_witness,
     mabk,
+    polytope,
     tightness,
     wbz333,
 )
@@ -178,38 +182,133 @@ def test_distinct_vertex_count(settings):
     assert len({tuple(v) for v in verts}) == expected
 
 
+def _solve_unit_rhs(rows):
+    """x with rows . x = (1, ..., 1) by Gauss-Jordan in Fractions, or None if singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(1)] for row in rows]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c]), None)
+        if pivot is None:
+            return None
+        a[c], a[pivot] = a[pivot], a[c]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c] / a[c][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return tuple(a[i][n] / a[i][i] for i in range(n))
+
+
+def brute_force_facets(scenario):
+    """Valid hyperplanes x . v = 1 through D independent vertices, as exact tuples.
+
+    Floats only pick one spanning subset per hyperplane (integer matrices:
+    nonzero determinants are >= 1); each pick is then solved and checked
+    exactly.
+    """
+    verts = distinct_vertices(scenario)
+    dim = scenario.dimension
+    subsets = np.array(list(itertools.combinations(range(len(verts)), dim)))
+    spanning = subsets[np.abs(np.linalg.det(verts[subsets].astype(float))) > 0.5]
+    approx = np.linalg.solve(verts[spanning].astype(float), np.ones((len(spanning), dim, 1)))
+    picks = {tuple(np.round(x[:, 0], 9)): subset for x, subset in zip(approx, spanning)}
+    found = set()
+    for subset in picks.values():
+        x = _solve_unit_rhs(verts[subset].tolist())
+        if all(sum(c * v for c, v in zip(x, row)) <= 1 for row in verts.tolist()):
+            found.add(x)
+    return found
+
+
+@pytest.mark.parametrize("settings", [(2,), (2, 2), (2, 3), (3, 2), (2, 2, 2)], ids=str)
+def test_facet_oracle_matches_brute_force(settings):
+    scenario = Scenario(settings)
+    keys = [f.coeffs for f in enumerate_facets(scenario)]
+    assert keys == sorted(set(keys))  # canonical order, no duplicates
+    assert set(keys) == brute_force_facets(scenario)
+
+
 def test_facet_oracle_counts():
-    assert len(enumerate_facets_brute(Scenario((2,)))) == 4
-    assert len(enumerate_facets_brute(TWO)) == 16
-    assert len(enumerate_facets_brute(Scenario((2, 2, 2)))) == 256
+    assert len(enumerate_facets(Scenario((2,)))) == 4
+    assert len(enumerate_facets(TWO)) == 16
+    assert len(enumerate_facets(Scenario((2, 2, 2)))) == 256
+    assert len(enumerate_facets(Scenario((3, 3)))) == 90
 
 
-@pytest.mark.parametrize("settings", [(2, 2), (2, 3), (2, 2, 2)], ids=str)
-def test_facet_oracle_matches_qhull(settings):
-    # independent oracle: the supporting hyperplanes of the hull, a.x <= 1
-    pytest.importorskip("scipy")
+def _qhull_planes(scenario):
+    """The supporting hyperplanes of the hull, a.x <= 1, rounded to 1e-9."""
     from scipy.spatial import ConvexHull
 
-    scenario = Scenario(settings)
     equations = ConvexHull(np.asarray(distinct_vertices(scenario), dtype=float)).equations
     # qhull writes n.x + b <= 0 with b < 0 (the origin is interior)
-    planes = {tuple(row) for row in np.round(equations[:, :-1] / -equations[:, -1:], 9)}
-    facets = {
-        tuple(np.round([float(c) for c in f.coeffs], 9)) for f in enumerate_facets_brute(scenario)
-    }
-    assert planes == facets
+    return {tuple(row) for row in np.round(equations[:, :-1] / -equations[:, -1:], 9)}
+
+
+@pytest.mark.parametrize("settings", [(2, 2), (2, 3), (2, 2, 2), (3, 3)], ids=str)
+def test_facet_oracle_matches_qhull(settings):
+    pytest.importorskip("scipy")
+    scenario = Scenario(settings)
+    facets = {tuple(np.round([float(c) for c in f.coeffs], 9)) for f in enumerate_facets(scenario)}
+    assert _qhull_planes(scenario) == facets
+
+
+def _scaled(facets, scale):
+    """Coefficients times ``scale`` as an int array, checked to be integers."""
+    assert all(scale % c.denominator == 0 for f in facets for c in f.coeffs)
+    return np.array([[c.numerator * (scale // c.denominator) for c in f.coeffs] for f in facets])
+
+
+def test_four_party_two_setting_facets_are_the_lift2_closure():
+    """65,536 facets = every lift2 of two (2,2,2) facets (Werner & Wolf 2001).
+
+    The closure is built from lift2's coefficient formula, new party first:
+    blocks (f + g)/2 and (f - g)/2, here on integers scaled by 8.
+    """
+    three = enumerate_facets(Scenario((2, 2, 2)))
+    facets = enumerate_facets(Scenario((2, 2, 2, 2)))
+    assert len(facets) == 65536
+    f3 = _scaled(three, 4)
+    closure = np.concatenate(
+        [f3[:, None, :] + f3[None, :, :], f3[:, None, :] - f3[None, :, :]], axis=2
+    ).reshape(-1, 16)
+    scaled = _scaled(facets, 8)
+    assert np.array_equal(scaled, np.unique(scaled, axis=0))  # sorted, no duplicates
+    assert np.array_equal(scaled, np.unique(closure, axis=0))
+    rng = np.random.default_rng(0)
+    for i, j in rng.integers(0, len(three), size=(20, 2)):
+        lifted = lift2(three[i], three[j], diagnose=False)[0]
+        assert [c * 8 for c in lifted.coeffs] == closure[i * len(three) + j].tolist()
+    if importlib.util.find_spec("scipy"):
+        assert _qhull_planes(Scenario((2, 2, 2, 2))) == {
+            tuple(np.round(row / 8, 9)) for row in scaled
+        }
 
 
 def test_facet_oracle_output_is_certified():
-    facets = enumerate_facets_brute(TWO)
+    facets = enumerate_facets(TWO)
     assert len({f.coeffs for f in facets}) == 16  # no duplicates
     for f in facets:
         rep = tightness(f)
         assert rep.lr_max == 1 and rep.is_tight
 
 
-def test_facet_oracle_caps():
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_facets_brute(Scenario((3, 3)))  # dimension 9 > 8
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_facets_brute(Scenario((5,)))  # 32 distinct vertices > 20
+def test_facet_oracle_refuses_over_64_vertices_before_any_work(monkeypatch):
+    def unreachable(scenario):
+        raise AssertionError("vertices were built")
+
+    monkeypatch.setattr(polytope, "distinct_vertices", unreachable)
+    with pytest.raises(EnumerationCapExceeded, match="64"):
+        enumerate_facets(Scenario((3, 3, 3)))  # 128 distinct vertices
+
+
+def test_facet_oracle_ray_bound(monkeypatch):
+    monkeypatch.setattr(polytope, "FACET_RAY_CAP", 100)
+    enumerate_facets.cache_clear()
+    with pytest.raises(EnumerationCapExceeded, match="100 intermediate rays"):
+        enumerate_facets(Scenario((2, 2, 2)))  # peaks at 256 rays
+
+
+def test_facet_oracle_int64_guard(monkeypatch):
+    monkeypatch.setattr(polytope, "_INT64_SAFE", 2)
+    enumerate_facets.cache_clear()
+    with pytest.raises(EnumerationCapExceeded, match="int64"):
+        enumerate_facets(TWO)

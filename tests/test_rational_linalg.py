@@ -1,10 +1,12 @@
-"""Fraction-free rank and exact unit solves against a floating oracle."""
+"""Fraction-free rank and kernel vectors against a floating oracle."""
 
-from fractions import Fraction
+import math
 
 import numpy as np
 
-from bellift.rational_linalg import integer_rank, solve_unit_rhs
+import pytest
+
+from bellift.rational_linalg import integer_kernel_vector, integer_rank
 
 
 def test_rank_simple_cases():
@@ -31,22 +33,18 @@ def test_rank_survives_big_integers():
     assert integer_rank(m) == 2
 
 
-def test_solve_unit_rhs_exact():
+def test_kernel_vector_is_primitive_and_annihilates():
     rng = np.random.default_rng(11)
-    solved = 0
     for _ in range(40):
-        n = int(rng.integers(1, 7))
-        m = rng.integers(-4, 5, size=(n, n))
-        rows = [[Fraction(int(x)) for x in row] for row in m]
-        x = solve_unit_rhs(rows)
-        if round(float(np.linalg.det(m.astype(float)))) == 0:
-            assert x is None
+        n = int(rng.integers(2, 8))
+        m = rng.integers(-4, 5, size=(n - 1, n))
+        if np.linalg.matrix_rank(m.astype(float)) < n - 1:
             continue
-        solved += 1
-        for row in rows:
-            assert sum(c * xi for c, xi in zip(row, x)) == 1
-    assert solved > 10  # the random ensemble is mostly nonsingular
+        x = integer_kernel_vector(m.tolist())
+        assert all(v == 0 for v in m @ np.array(x, dtype=object))
+        assert math.gcd(*x) == 1
 
 
-def test_solve_unit_rhs_singular_returns_none():
-    assert solve_unit_rhs([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) is None
+def test_kernel_vector_needs_corank_one():
+    with pytest.raises(ValueError):
+        integer_kernel_vector([[1, 2, 3], [2, 4, 6]])  # rank 1, kernel is a plane
