@@ -160,18 +160,6 @@ def lift3(
 # ---------------------------------------------------------------------------
 
 
-def _swap_first_two_settings(expr: BellExpression) -> BellExpression:
-    scenario = expr.scenario
-    perms = []
-    signs = []
-    for m in scenario.settings:
-        perm = list(range(m))
-        perm[0], perm[1] = perm[1], perm[0]
-        perms.append(tuple(perm))
-        signs.append((1,) * m)
-    return apply_signed_setting_map(expr, SignedSettingMap(tuple(perms), tuple(signs)))
-
-
 @lru_cache(maxsize=32)
 def mabk(n: int) -> BellExpression:
     """n-party MABK expression, normalized to local-realistic maximum 1.
@@ -189,8 +177,8 @@ def mabk(n: int) -> BellExpression:
         )
     expr = BellExpression(Scenario((2,)), (Fraction(1), Fraction(0)))
     for _ in range(n - 1):
-        swapped = _swap_first_two_settings(expr)
-        expr, _ = lift2(expr, swapped, diagnose=False)
+        swap = SignedSettingMap.uniform(expr.scenario, (1, 0), (1, 1))
+        expr, _ = lift2(expr, apply_signed_setting_map(expr, swap), diagnose=False)
     return expr
 
 

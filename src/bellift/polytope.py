@@ -9,8 +9,12 @@ elimination of ``rational_linalg``, and the facet enumeration is an integer
 double description whose rays never leave int64.
 
 Strategies are ordered lexicographically by their concatenated outcome bits
-(party-major, setting-major; bit 0 encodes outcome +1), so maximizers and
-witnesses are deterministic.
+(party-major, setting-major; bit 0 encodes outcome +1).  Flipping the
+outcomes of an even number of parties keeps the admissible vector, so each
+vertex has exactly one *canonical* strategy: outcome +1 at setting 0 for
+every party but the last.  It is the first strategy of its class in bit
+order.  Vertices are enumerated once each, as their canonical strategies in
+bit order, so vertex lists, maximizers and witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -48,34 +52,38 @@ def _check_cap(scenario: Scenario) -> None:
         )
 
 
-def _strategy_from_bits(scenario: Scenario, bits: int) -> DeterministicStrategy:
-    total = sum(scenario.settings)
-    outcomes = []
-    pos = 0
-    for m in scenario.settings:
-        party = []
-        for _ in range(m):
-            bit = (bits >> (total - 1 - pos)) & 1
-            party.append(1 - 2 * bit)
-            pos += 1
-        outcomes.append(tuple(party))
-    return DeterministicStrategy(tuple(outcomes))
-
-
 def enumerate_strategies(scenario: Scenario):
     """Yield every deterministic strategy in lexicographic bit order."""
     _check_cap(scenario)
-    for bits in range(2 ** sum(scenario.settings)):
-        yield _strategy_from_bits(scenario, bits)
+    rows = [_outcome_patterns(m).tolist() for m in scenario.settings]
+    for outcomes in itertools.product(*rows):
+        yield DeterministicStrategy(outcomes)
 
 
 def _outcome_patterns(m: int) -> np.ndarray:
     """All 2^m outcome rows for one party, lexicographic, entries +-1."""
-    rows = np.array(
-        [[1 - 2 * ((r >> (m - 1 - j)) & 1) for j in range(m)] for r in range(2**m)],
-        dtype=np.int64,
-    )
-    return rows
+    bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    return (1 - 2 * bits).astype(np.int64)
+
+
+def _canonical_rows(scenario: Scenario) -> list[np.ndarray]:
+    """Each party's outcome rows over the canonical strategies, in bit order.
+
+    Flat canonical id k is the C-order index into the grid of these rows;
+    there are 2^(sum(m_p) - n + 1) ids, one per vertex.
+    """
+    _check_cap(scenario)
+    *first, last = scenario.settings
+    return [_outcome_patterns(m)[: 2 ** (m - 1)] for m in first] + [_outcome_patterns(last)]
+
+
+def _vertices(rows: list[np.ndarray], ids: np.ndarray) -> np.ndarray:
+    """Admissible vectors (rows) of the canonical strategies with flat ids ``ids``."""
+    vecs = np.ones((len(ids), 1), dtype=np.int64)
+    for party, picks in zip(rows, np.unravel_index(ids, [len(r) for r in rows])):
+        width = vecs.shape[1] * party.shape[1]
+        vecs = (vecs[:, :, None] * party[picks][:, None, :]).reshape(len(ids), width)
+    return vecs
 
 
 def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -84,29 +92,29 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [int(v * lcm) for v in values], lcm
 
 
-def _all_strategy_values(expr: BellExpression) -> tuple[np.ndarray, int]:
-    """Integer values L*I(s) for every strategy, flat in strategy bit order."""
-    scenario = expr.scenario
-    _check_cap(scenario)
+def _vertex_values(expr: BellExpression) -> tuple[list[np.ndarray], np.ndarray, int]:
+    """Canonical rows, the integer values L*I(v) flat by canonical id, and L."""
+    rows = _canonical_rows(expr.scenario)
     ints, lcm = _clear_denominators(expr.coeffs)
     bound = sum(abs(c) for c in ints)
     # int64 is exact while the largest possible |value| fits; otherwise fall
     # back to Python big ints in an object array.
     dtype = np.int64 if bound < 2**62 else object
-    vals = np.array(ints, dtype=dtype).reshape(scenario.settings)
-    for m in scenario.settings:
-        patterns = _outcome_patterns(m).astype(dtype)
+    vals = np.array(ints, dtype=dtype).reshape(expr.scenario.settings)
+    for party in rows:
         # contract the leading party axis; its strategy axis lands at the end,
         # so after one pass per party the axes are in party order again
-        vals = np.tensordot(vals, patterns, axes=([0], [1]))
-    return vals.reshape(-1), lcm
+        vals = np.tensordot(vals, party.astype(dtype), axes=([0], [1]))
+    return rows, vals.reshape(-1), lcm
 
 
 def lr_max_with_witness(expr: BellExpression) -> tuple[Fraction, DeterministicStrategy]:
     """Exact local-realistic maximum and the first maximizing strategy."""
-    vals, lcm = _all_strategy_values(expr)
+    rows, vals, lcm = _vertex_values(expr)
     best = int(np.argmax(vals))
-    return Fraction(int(vals[best]), lcm), _strategy_from_bits(expr.scenario, best)
+    picks = np.unravel_index(best, [len(r) for r in rows])
+    witness = DeterministicStrategy(tuple(party[i] for party, i in zip(rows, picks)))
+    return Fraction(int(vals[best]), lcm), witness
 
 
 @lru_cache(maxsize=1024)
@@ -115,50 +123,16 @@ def lr_max(expr: BellExpression) -> Fraction:
     return lr_max_with_witness(expr)[0]
 
 
-def _vectors_for_strategy_ids(scenario: Scenario, ids: np.ndarray) -> np.ndarray:
-    """Admissible vectors (rows) for the given flat strategy indices."""
-    if ids.size == 0:
-        return np.zeros((0, scenario.dimension), dtype=np.int64)
-    per_party_rows = []
-    rest = ids.astype(np.int64)
-    for m in reversed(scenario.settings):
-        per_party_rows.append(rest % (2**m))
-        rest //= 2**m
-    per_party_rows.reverse()
-    operands = []
-    subscripts = []
-    n = scenario.parties
-    for p, m in enumerate(scenario.settings):
-        operands.append(_outcome_patterns(m)[per_party_rows[p]])
-        subscripts.append([0, p + 1])  # axis 0 = strategy row, axis p+1 = setting
-    out = list(range(n + 1))
-    vecs = np.einsum(*itertools.chain(*zip(operands, subscripts)), out)
-    return vecs.reshape(ids.size, scenario.dimension)
-
-
-def _dedupe_rows(rows: np.ndarray) -> np.ndarray:
-    """Unique rows, keeping the first occurrence order."""
-    # a dict keeps each key where it was first inserted; equal keys are equal rows
-    return rows[list({row.tobytes(): i for i, row in enumerate(rows)}.values())]
-
-
 @lru_cache(maxsize=64)
 def distinct_vertices(scenario: Scenario) -> np.ndarray:
-    """All distinct polytope vertices, first-occurrence order, rows of +-1.
+    """All 2^(sum(m_p) - n + 1) polytope vertices, rows of +-1.
 
-    Distinct means as vectors: flipping all outcomes of an even number of
-    parties fixes the vector, so there are 2^(sum(m_p) - n + 1) of them.
-    For n >= 2 only strategies whose party-0 setting-0 outcome is +1 are
-    scanned (the most significant bit is 0); every vertex class contains such
-    a representative.  For a single party the vector is the outcome vector
-    itself, so all strategies are scanned.
+    Row k is the admissible vector of canonical strategy k, so the rows come
+    in the bit order of their canonical strategies, which is the order of
+    first occurrence over ``enumerate_strategies``.
     """
-    _check_cap(scenario)
-    total = sum(scenario.settings)
-    scan = total - 1 if scenario.parties > 1 else total
-    ids = np.arange(2**scan, dtype=np.int64)
-    vecs = _vectors_for_strategy_ids(scenario, ids)
-    out = _dedupe_rows(vecs)
+    rows = _canonical_rows(scenario)
+    out = _vertices(rows, np.arange(math.prod(len(r) for r in rows)))
     out.setflags(write=False)
     return out
 
@@ -182,12 +156,9 @@ class TightnessReport:
 @lru_cache(maxsize=1024)
 def tightness(expr: BellExpression) -> TightnessReport:
     """Exact facet test: validity (lr_max <= 1) plus full-rank saturation."""
-    scenario = expr.scenario
-    vals, lcm = _all_strategy_values(expr)
-    lr = Fraction(int(max(vals)), lcm)
-    sat_ids = np.nonzero(vals == lcm)[0]  # value exactly 1
-    vecs = _dedupe_rows(_vectors_for_strategy_ids(scenario, sat_ids))
-    dim = scenario.dimension
+    rows, vals, lcm = _vertex_values(expr)
+    lr = Fraction(int(vals.max()), lcm)
+    vecs = _vertices(rows, np.flatnonzero(vals == lcm))  # value exactly 1
     rank = integer_rank(vecs.tolist())
     valid = lr <= 1
     return TightnessReport(
@@ -195,7 +166,7 @@ def tightness(expr: BellExpression) -> TightnessReport:
         saturating_count=vecs.shape[0],
         rank=rank,
         is_valid=valid,
-        is_tight=valid and rank == dim,
+        is_tight=valid and rank == expr.scenario.dimension,
     )
 
 
@@ -296,7 +267,7 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellExpression, ...]:
     64 distinct vertices (the bitmask width), and mid-way when the rays
     would exceed ``FACET_RAY_CAP`` or int64.
     """
-    nverts = 2 ** (sum(scenario.settings) - scenario.parties + 1)
+    nverts = math.prod(len(r) for r in _canonical_rows(scenario))
     if nverts > _MASK_BITS:
         raise EnumerationCapExceeded(
             f"facet enumeration supports <= {_MASK_BITS} distinct vertices, "

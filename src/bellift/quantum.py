@@ -86,10 +86,10 @@ class QuantumState:
 
 
 def _check_qubit_count(n: int) -> None:
-    """Refuse states whose 4^n density-matrix entries exceed the cap."""
+    """Refuse n-qubit matrices (states, Bell operators) whose 4^n entries exceed the cap."""
     if 4**n > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"a {n}-qubit density matrix has 4^{n} entries, over the cap of {ENUMERATION_CAP}"
+            f"a {n}-qubit matrix has 4^{n} entries, over the cap of {ENUMERATION_CAP}"
         )
 
 
@@ -253,6 +253,7 @@ class MeasurementSettings:
 def bell_operator(expr: BellExpression, settings: MeasurementSettings) -> np.ndarray:
     """The Hermitian operator of the expression at the given directions."""
     scenario = expr.scenario
+    _check_qubit_count(scenario.parties)
     if not settings.matches(scenario):
         raise ValueError(f"settings shape does not match scenario {scenario}")
     n = scenario.parties

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script and the benchmark self-test run to completion."""
 
 import os
 import subprocess
@@ -18,3 +18,12 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_self_test():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--self-test"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "self-test passed" in proc.stdout

@@ -86,18 +86,19 @@ def test_lr_max_witness_attains_the_bound():
 
 
 def test_lr_max_matches_slow_oracle():
-    # independent route: evaluate() strategy by strategy in pure Python
+    # independent route: evaluate() strategy by strategy in pure Python; the
+    # witness is the first maximizer in enumeration order
     rng = np.random.default_rng(3)
-    scenario = Scenario((2, 3))
-    for _ in range(10):
-        terms = [
-            ((int(i), int(j)), Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))))
-            for i in range(2)
-            for j in range(3)
+    shapes = [(3,), (2, 3), (1, 2, 2), (2, 1, 2, 2)]
+    for scenario in [Scenario(s) for s in shapes for _ in range(10)]:
+        coeffs = [
+            Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+            for _ in range(scenario.dimension)
         ]
-        e = expr(scenario, terms)
-        slow = max(evaluate(e, s) for s in enumerate_strategies(scenario))
-        assert lr_max(e) == slow
+        e = BellExpression(scenario, tuple(coeffs))
+        values = [(evaluate(e, s), s) for s in enumerate_strategies(scenario)]
+        slow = max(v for v, _ in values)
+        assert lr_max_with_witness(e) == (slow, next(s for v, s in values if v == slow))
 
 
 @settings(max_examples=30, deadline=None)
@@ -150,8 +151,11 @@ def test_invalid_expression_is_not_tight():
         expr(TWO, [((0, 0), 1)]),
         expr(TWO, [((0, 0), "1/2"), ((0, 1), "1/2")]),
         wbz333(),
+        mabk(3),
+        mabk(4),
+        enumerate_facets(Scenario((2, 2, 2)))[100],
     ],
-    ids=["chsh", "e00", "loose", "wbz333"],
+    ids=["chsh", "e00", "loose", "wbz333", "mabk3", "mabk4", "facet222"],
 )
 def test_tightness_against_float_oracle(e):
     """Recollect saturating vertices independently and rank them in floats."""
@@ -172,14 +176,16 @@ def test_tightness_against_float_oracle(e):
 
 
 @pytest.mark.parametrize(
-    "settings", [(2,), (2, 2), (3, 2), (2, 2, 2), (3, 3)], ids=str
+    "settings", [(1,), (2,), (1, 2), (2, 2), (3, 2), (2, 2, 2), (3, 3), (2, 2, 2, 2)], ids=str
 )
 def test_distinct_vertex_count(settings):
     scenario = Scenario(settings)
     verts = distinct_vertices(scenario)
     expected = 2 ** (sum(settings) - len(settings) + 1)
     assert verts.shape == (expected, scenario.dimension)
-    assert len({tuple(v) for v in verts}) == expected
+    # oracle: admissible vectors of all strategies, first occurrence kept
+    vectors = (s.admissible_vector(scenario) for s in enumerate_strategies(scenario))
+    assert verts.tolist() == [list(v) for v in dict.fromkeys(vectors)]
 
 
 def _solve_unit_rhs(rows):
