@@ -53,11 +53,11 @@ def _check_cap(scenario: Scenario) -> None:
 
 
 def enumerate_strategies(scenario: Scenario):
-    """Yield every deterministic strategy in lexicographic bit order."""
+    """Yield every deterministic strategy in lexicographic bit order, lazily."""
     _check_cap(scenario)
-    rows = [_outcome_patterns(m).tolist() for m in scenario.settings]
-    for outcomes in itertools.product(*rows):
-        yield DeterministicStrategy(outcomes)
+    ends = list(itertools.accumulate(scenario.settings))
+    for bits in itertools.product((1, -1), repeat=ends[-1]):
+        yield DeterministicStrategy(tuple(bits[a:b] for a, b in zip([0] + ends, ends)))
 
 
 def _outcome_patterns(m: int) -> np.ndarray:
@@ -66,15 +66,22 @@ def _outcome_patterns(m: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int64)
 
 
+def _canonical_counts(scenario: Scenario) -> list[int]:
+    """Each party's number of canonical outcome rows; their product, the
+    vertex count 2^(sum(m_p) - n + 1), is known before any row is built."""
+    _check_cap(scenario)
+    *first, last = scenario.settings
+    return [2 ** (m - 1) for m in first] + [2**last]
+
+
 def _canonical_rows(scenario: Scenario) -> list[np.ndarray]:
     """Each party's outcome rows over the canonical strategies, in bit order.
 
-    Flat canonical id k is the C-order index into the grid of these rows;
-    there are 2^(sum(m_p) - n + 1) ids, one per vertex.
+    Flat canonical id k is the C-order index into the grid of these rows,
+    one id per vertex.
     """
-    _check_cap(scenario)
-    *first, last = scenario.settings
-    return [_outcome_patterns(m)[: 2 ** (m - 1)] for m in first] + [_outcome_patterns(last)]
+    counts = _canonical_counts(scenario)
+    return [_outcome_patterns(m)[:k] for m, k in zip(scenario.settings, counts)]
 
 
 def _vertices(rows: list[np.ndarray], ids: np.ndarray) -> np.ndarray:
@@ -267,7 +274,7 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellExpression, ...]:
     64 distinct vertices (the bitmask width), and mid-way when the rays
     would exceed ``FACET_RAY_CAP`` or int64.
     """
-    nverts = math.prod(len(r) for r in _canonical_rows(scenario))
+    nverts = math.prod(_canonical_counts(scenario))
     if nverts > _MASK_BITS:
         raise EnumerationCapExceeded(
             f"facet enumeration supports <= {_MASK_BITS} distinct vertices, "

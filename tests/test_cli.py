@@ -201,6 +201,9 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "facets", "3", "3", "3")  # 128 vertices > 64
     assert code == 2 and "cap" in err
 
+    code, _, err = run(capsys, "facets", "24")  # refused before any table is built
+    assert code == 2 and "cap" in err
+
     code, _, err = run(capsys, "lr-bound", str(tmp_path / "missing.json"))
     assert code == 1
 

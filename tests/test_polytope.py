@@ -68,6 +68,13 @@ def test_enumeration_cap():
         list(enumerate_strategies(Scenario((25,))))
 
 
+def test_enumeration_is_lazy(monkeypatch):
+    # at the cap, the first strategy comes without building any outcome table
+    monkeypatch.setattr(polytope, "_outcome_patterns", None)
+    first = next(enumerate_strategies(Scenario((24,))))
+    assert first.outcomes == ((1,) * 24,)
+
+
 # ---------------------------------------------------------------------------
 # local-realistic bounds
 # ---------------------------------------------------------------------------
@@ -302,8 +309,11 @@ def test_facet_oracle_refuses_over_64_vertices_before_any_work(monkeypatch):
         raise AssertionError("vertices were built")
 
     monkeypatch.setattr(polytope, "distinct_vertices", unreachable)
+    monkeypatch.setattr(polytope, "_outcome_patterns", unreachable)
     with pytest.raises(EnumerationCapExceeded, match="64"):
         enumerate_facets(Scenario((3, 3, 3)))  # 128 distinct vertices
+    with pytest.raises(EnumerationCapExceeded, match="64"):
+        enumerate_facets(Scenario((24,)))  # 2^24 strategies, inside the cap
 
 
 def test_facet_oracle_ray_bound(monkeypatch):
