@@ -253,10 +253,11 @@ def linear_combine(
     """Exact rational linear combination of same-scenario expressions."""
     if not terms:
         raise ValueError("linear_combine needs at least one term")
-    acc = BellExpression.zero(terms[0][1].scenario)
-    for weight, expr in terms:
-        acc = acc + expr.scaled(weight)
-    return acc
+    _require_same_scenario(*(expr for _, expr in terms))
+    weights = [_as_fraction(weight) for weight, _ in terms]
+    columns = zip(*(expr.coeffs for _, expr in terms))
+    coeffs = [sum(w * c for w, c in zip(weights, column) if c) for column in columns]
+    return BellExpression(terms[0][1].scenario, tuple(coeffs))
 
 
 def permute_parties(expr: BellExpression, order: Sequence[int]) -> BellExpression:

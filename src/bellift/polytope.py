@@ -96,7 +96,7 @@ def _vertices(rows: list[np.ndarray], ids: np.ndarray) -> np.ndarray:
 def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """The values times the lcm L of their denominators, plus L."""
     lcm = math.lcm(*(v.denominator for v in values))
-    return [int(v * lcm) for v in values], lcm
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
 def _vertex_values(expr: BellExpression) -> tuple[list[np.ndarray], np.ndarray, int]:

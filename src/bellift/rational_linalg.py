@@ -1,16 +1,27 @@
 """Exact linear algebra over the rationals (fraction-free, deterministic).
 
-One Bareiss fraction-free elimination serves both the rank and the kernel
-vectors, so integer matrices (vertex rows of entries +-1) never leave
-integer arithmetic: the kernel back-substitution scales instead of dividing.
-Pivots are chosen as the first nonzero entry in column order, which makes
-the computation deterministic for a given row order.
+One Bareiss fraction-free elimination is the only exact path: it serves the
+kernel vectors and every rank that is not certified more cheaply.  Integer
+matrices (vertex rows of entries +-1) never leave integer arithmetic: the
+kernel back-substitution scales instead of dividing.  Pivots are chosen as
+the first nonzero entry in column order, which makes the computation
+deterministic for a given row order.
+
+A wide matrix's rank is first certified modulo the prime p = 2^31 - 1, by an
+int64 numpy elimination.  The rank over Q is at least the rank mod p, so
+when the latter reaches min(rows, columns) that is the exact rank; otherwise
+Bareiss decides.  Either way the rank returned is exact.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+import numpy as np
+
+_P = 2**31 - 1  # prime; a product of two residues stays below 2^62
+_BAREISS_MAX_COLS = 16  # up to this width Bareiss beats the numpy elimination
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> int:
@@ -48,10 +59,37 @@ def _eliminate(m: list[list[int]], ncols: int) -> int:
     return rank
 
 
+def _rank_mod_p(m: list[list[int]]) -> int:
+    """Rank over GF(p) of an integer matrix, never above its rank over Q."""
+    # reduce as Python ints first, so entries beyond int64 stay correct
+    a = (np.array(m, dtype=object) % _P).astype(np.int64)
+    nrows, ncols = a.shape
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
+            continue
+        pivot_row = rank + nonzero[0]
+        a[[rank, pivot_row]] = a[[pivot_row, rank]]
+        # a unit pivot keeps every update product of two residues (< 2^62)
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), -1, _P) % _P
+        below = a[rank + 1 :, col:]
+        below -= np.outer(below[:, 0], a[rank, col:])
+        below %= _P
+        rank += 1
+    return rank
+
+
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank over Q of a matrix with integer entries."""
     m = [[int(x) for x in row] for row in rows]
-    return _eliminate(m, len(m[0]) if m else 0)
+    ncols = len(m[0]) if m else 0
+    full = min(len(m), ncols)
+    if ncols > _BAREISS_MAX_COLS and _rank_mod_p(m) == full:
+        return full
+    return _eliminate(m, ncols)
 
 
 def integer_kernel_vector(rows: Sequence[Sequence[int]]) -> list[int]:

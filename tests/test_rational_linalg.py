@@ -1,12 +1,18 @@
-"""Fraction-free rank and kernel vectors against a floating oracle."""
+"""Fraction-free rank and kernel vectors against a floating oracle, and the
+modular rank certificate against Bareiss."""
 
 import math
 
 import numpy as np
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellift.rational_linalg import integer_kernel_vector, integer_rank
+from bellift import rational_linalg
+from bellift.lifting import four_party_19
+from bellift.polytope import distinct_vertices, tightness
+from bellift.rational_linalg import _eliminate, integer_kernel_vector, integer_rank
 
 
 def test_rank_simple_cases():
@@ -48,3 +54,79 @@ def test_kernel_vector_is_primitive_and_annihilates():
 def test_kernel_vector_needs_corank_one():
     with pytest.raises(ValueError):
         integer_kernel_vector([[1, 2, 3], [2, 4, 6]])  # rank 1, kernel is a plane
+
+
+# ---------------------------------------------------------------------------
+# the modular certificate (more than 16 columns) and its Bareiss fallback
+# ---------------------------------------------------------------------------
+
+
+def _bareiss_rank(m) -> int:
+    rows = [[int(x) for x in row] for row in m]
+    return _eliminate(rows, len(rows[0]) if rows else 0)
+
+
+def test_full_rank_over_q_but_not_mod_p_falls_back():
+    m = np.eye(17, dtype=np.int64)
+    m[3, 3] = 2**31 - 1  # the modulus: this row vanishes mod p
+    assert rational_linalg._rank_mod_p(m.tolist()) == 16
+    assert integer_rank(m.tolist()) == 17
+
+
+def test_entries_beyond_int64_on_the_modular_side():
+    big = 10**30
+    m = [[big * (i == j) for j in range(17)] for i in range(17)]
+    assert integer_rank(m + [[big] * 17]) == 17  # certified mod p
+    m[5][5] = 0  # column 5 is now zero
+    assert integer_rank(m + [[big * (j != 5) for j in range(17)]]) == 16  # fallback
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_rank_agrees_with_bareiss_on_both_sides_of_the_gate(
+    nrows, ncols, deficient, seed
+):
+    rng = np.random.default_rng(seed)
+    if deficient:  # a product through a narrower inner dimension
+        inner = int(rng.integers(0, min(nrows, ncols)))
+        left = rng.integers(-3, 4, size=(nrows, inner))
+        m = left @ rng.integers(-3, 4, size=(inner, ncols))
+    else:
+        m = rng.integers(-5, 6, size=(nrows, ncols))
+    rank = integer_rank(m.tolist())
+    assert rank == _bareiss_rank(m)
+    if deficient:
+        assert rank < min(nrows, ncols)
+
+
+def test_narrow_matrices_stay_on_bareiss(monkeypatch):
+    def unreachable(m):
+        raise AssertionError("modular route taken at 16 columns")
+
+    monkeypatch.setattr(rational_linalg, "_rank_mod_p", unreachable)
+    assert integer_rank(np.eye(16, dtype=int).tolist()) == 16
+
+
+def test_four_party_facet_is_certified_without_bareiss(monkeypatch):
+    expr = four_party_19()
+
+    def unreachable(m, ncols):
+        raise AssertionError("Bareiss fallback taken")
+
+    monkeypatch.setattr(rational_linalg, "_eliminate", unreachable)
+    rep = tightness.__wrapped__(expr)
+    assert (rep.rank, rep.saturating_count, rep.is_tight) == (81, 256, True)
+
+
+def test_rank_deficient_saturating_rows_get_the_exact_rank():
+    expr = four_party_19()
+    verts = distinct_vertices(expr.scenario)
+    sat = verts[verts @ np.array(expr.coeffs, dtype=object) == 1].copy()
+    assert sat.shape == (256, 81)
+    sat[:, 40] = 0
+    assert integer_rank(sat.tolist()) == _bareiss_rank(sat) == 80
