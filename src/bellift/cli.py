@@ -233,31 +233,21 @@ def _run(args: argparse.Namespace) -> int:
             },
             args.out,
         )
-    elif cmd == "lift2":
-        out, diag = lift2(
-            _read_expression(args.plus),
-            _read_expression(args.minus),
-            diagnose=not args.no_diagnose,
-        )
-        meta: dict[str, Any] = {"name": "lift2"}
-        if diag.inputs_tight is not None:
-            meta["inputs_tight"] = list(diag.inputs_tight)
-            meta["output_tight"] = diag.output_tight
-        _emit(serialize_expression(out, meta), args.out)
-    elif cmd == "lift3":
-        out, diag = lift3(
-            _read_expression(args.i0),
-            _read_expression(args.i2),
-            _read_expression(args.i3),
-            diagnose=not args.no_diagnose,
-        )
-        meta = {"name": "lift3", "compatibility": diag.compatibility_valid}
+    elif cmd in ("lift2", "lift3"):
+        if cmd == "lift2":
+            lift, paths = lift2, (args.plus, args.minus)
+        else:
+            lift, paths = lift3, (args.i0, args.i2, args.i3)
+        out, diag = lift(*map(_read_expression, paths), diagnose=not args.no_diagnose)
+        meta: dict[str, Any] = {"name": cmd}
+        if diag.compatibility_valid is not None:
+            meta["compatibility"] = diag.compatibility_valid
         if diag.compatibility_witness is not None:
             meta["compatibility_witness"] = _strategy_payload(diag.compatibility_witness)
         if diag.inputs_tight is not None:
             meta["inputs_tight"] = list(diag.inputs_tight)
             meta["output_tight"] = diag.output_tight
-        if not diag.compatibility_valid:
+        if diag.compatibility_valid is False:
             print(
                 "warning: compatibility condition fails; the lift need not be a facet",
                 file=sys.stderr,

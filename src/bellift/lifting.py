@@ -1,20 +1,20 @@
 """Build larger tight Bell inequalities out of smaller ones.
 
-Two constructions are provided, both of which prepend a new party as party 0:
+Both lifts prepend a new party 0 whose setting-j block is a fixed weighted
+sum of the inputs, and one builder serves both weight tables:
 
-* a two-setting lift: from expressions ``I+`` and ``I-`` build
-  ``a_0 (I+ + I-)/2 + a_1 (I+ - I-)/2``; the output is a facet exactly when
-  both inputs are facets, and the diagnostics certify both directions by
-  brute force;
-* a three-setting lift: from ``I0, I2, I3`` build
-  ``a_0 (I2 + I3)/2 + a_1 (I0 - I2)/2 + a_2 (I0 - I3)/2``; here tightness of
-  the inputs is not enough -- the implied fourth expression
-  ``I1 = I2 + I3 - I0`` must also be valid (local-realistic maximum <= 1).
-  That compatibility condition is checked exactly and a violating strategy is
-  returned as a witness when it fails.
+* two-setting, over ``(I+, I-)``: rows (1/2, 1/2) and (1/2, -1/2).  The
+  output is a facet exactly when both inputs are facets, and the
+  diagnostics certify both directions by brute force;
+* three-setting, over ``(I0, I2, I3)``: rows (0, 1/2, 1/2), (1/2, -1/2, 0)
+  and (1/2, 0, -1/2).  Tight inputs are not enough: the implied fourth
+  expression ``I1 = I2 + I3 - I0`` must also be valid (local-realistic
+  maximum <= 1).  That compatibility condition is checked exactly, and a
+  violating strategy is returned as a witness when it fails.
 
-Restricting the lifted expression to the new party's strategies (+1,+1,+1),
-(+1,-1,+1), (+1,+1,-1) and (+1,-1,-1) recovers I0, I2, I3 and I1.
+Restricting a lift to the new party's strategies (+1,+1) and (+1,-1)
+recovers I+ and I-; (+1,+1,+1), (+1,-1,+1), (+1,+1,-1) and (+1,-1,-1)
+recover I0, I2, I3 and I1.
 
 The module also ships concrete inputs and outputs of these constructions:
 the MABK family from the two-setting lift, a known tight three-party
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .expressions import (
     EXACT_COEFFICIENT_CAP,
@@ -59,16 +60,34 @@ class LiftDiagnostics:
     compatibility_witness: DeterministicStrategy | None = None
 
 
-def _prepend_party(
-    blocks: tuple[BellExpression, ...],
-) -> BellExpression:
-    """New party 0 with len(blocks) settings; block j multiplies a_j."""
-    scenario = blocks[0].scenario
-    out_scenario = Scenario((len(blocks),) + scenario.settings)
+# Row j weighs the inputs into block j: (I+, I-) for lift2, (I0, I2, I3) for lift3.
+_HALF, _ZERO = Fraction(1, 2), Fraction(0)
+_LIFT2 = ((_HALF, _HALF), (_HALF, -_HALF))
+_LIFT3 = ((_ZERO, _HALF, _HALF), (_HALF, -_HALF, _ZERO), (_HALF, _ZERO, -_HALF))
+
+
+def _lift(
+    weights: tuple[tuple[Fraction, ...], ...],
+    inputs: tuple[BellExpression, ...],
+    diagnose: bool,
+    compatibility: Callable | None = None,
+) -> tuple[BellExpression, LiftDiagnostics]:
+    """Prepend a party whose block j is sum_k weights[j][k] * inputs[k].
+
+    ``compatibility(*inputs)``, if given, runs whether or not ``diagnose`` is
+    set, and only once the output is built, so the output's size cap is met first.
+    """
+    _require_same_scenario(*inputs)
     coeffs: tuple[Fraction, ...] = ()
-    for block in blocks:
-        coeffs = coeffs + block.coeffs
-    return BellExpression(out_scenario, coeffs)
+    for row in weights:
+        coeffs += linear_combine([(w, e) for w, e in zip(row, inputs) if w]).coeffs
+    out = BellExpression(Scenario((len(weights),) + inputs[0].scenario.settings), coeffs)
+    valid, witness = compatibility(*inputs) if compatibility else (None, None)
+    inputs_tight = output_tight = None
+    if diagnose:
+        inputs_tight = tuple(tightness(e).is_tight for e in inputs)
+        output_tight = tightness(out).is_tight
+    return out, LiftDiagnostics(inputs_tight, output_tight, valid, witness)
 
 
 def lift2(
@@ -77,21 +96,7 @@ def lift2(
     diagnose: bool = True,
 ) -> tuple[BellExpression, LiftDiagnostics]:
     """Two-setting lift; tight output iff both inputs are tight."""
-    _require_same_scenario(i_plus, i_minus)
-    half = Fraction(1, 2)
-    out = _prepend_party(
-        (
-            linear_combine([(half, i_plus), (half, i_minus)]),
-            linear_combine([(half, i_plus), (-half, i_minus)]),
-        )
-    )
-    if not diagnose:
-        return out, LiftDiagnostics(inputs_tight=None, output_tight=None)
-    diag = LiftDiagnostics(
-        inputs_tight=(tightness(i_plus).is_tight, tightness(i_minus).is_tight),
-        output_tight=tightness(out).is_tight,
-    )
-    return out, diag
+    return _lift(_LIFT2, (i_plus, i_minus), diagnose)
 
 
 def compatibility_holds(
@@ -125,34 +130,7 @@ def lift3(
     The lifted expression is returned even when compatibility fails; the
     diagnostics then carry a violating witness strategy.
     """
-    _require_same_scenario(i0, i2, i3)
-    half = Fraction(1, 2)
-    out = _prepend_party(
-        (
-            linear_combine([(half, i2), (half, i3)]),
-            linear_combine([(half, i0), (-half, i2)]),
-            linear_combine([(half, i0), (-half, i3)]),
-        )
-    )
-    compatible, witness = compatibility_holds(i0, i2, i3)
-    if not diagnose:
-        return out, LiftDiagnostics(
-            inputs_tight=None,
-            output_tight=None,
-            compatibility_valid=compatible,
-            compatibility_witness=witness,
-        )
-    diag = LiftDiagnostics(
-        inputs_tight=(
-            tightness(i0).is_tight,
-            tightness(i2).is_tight,
-            tightness(i3).is_tight,
-        ),
-        output_tight=tightness(out).is_tight,
-        compatibility_valid=compatible,
-        compatibility_witness=witness,
-    )
-    return out, diag
+    return _lift(_LIFT3, (i0, i2, i3), diagnose, compatibility_holds)
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +208,9 @@ def symmetry_images() -> tuple[BellExpression, BellExpression, BellExpression]:
     ``four_party_comparison``).
     """
     b = wbz333()
-    scenario = b.scenario
-    b1 = apply_signed_setting_map(
-        b, SignedSettingMap.uniform(scenario, (1, 0, 2), (1, 1, 1))
-    )
-    b2 = apply_signed_setting_map(
-        b, SignedSettingMap.uniform(scenario, (2, 1, 0), (1, 1, 1))
-    )
-    b3 = apply_signed_setting_map(
-        b, SignedSettingMap.uniform(scenario, (2, 0, 1), (1, 1, 1))
+    b1, b2, b3 = (
+        apply_signed_setting_map(b, SignedSettingMap.uniform(b.scenario, perm, (1, 1, 1)))
+        for perm in ((1, 0, 2), (2, 1, 0), (2, 0, 1))
     )
     return b1, b2, b3
 
@@ -251,10 +223,8 @@ def four_party_19() -> BellExpression:
     result is relabelled so that the new party sits last (parties A, B, C, D
     with D the new one, D's setting j playing the role of a_{j+1}).
     """
-    b = wbz333()
-    b1, b2, b3 = symmetry_images()
-    del b1
-    lifted, _ = lift3(b, b2, b3, diagnose=False)
+    _, b2, b3 = symmetry_images()
+    lifted, _ = lift3(wbz333(), b2, b3, diagnose=False)
     return permute_parties(lifted, (1, 2, 3, 0))
 
 

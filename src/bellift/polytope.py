@@ -4,9 +4,10 @@ The polytope for a scenario is the convex hull of the admissible vectors of
 all deterministic strategies.  Everything here is exact and stays in
 ``int``/``Fraction`` arithmetic: strategy values are integers after clearing
 coefficient denominators, the local-realistic maximum is returned as a
-Fraction, saturation means value exactly 1, ranks use the fraction-free
-elimination of ``rational_linalg``, and the facet enumeration is an integer
-double description whose rays never leave int64.
+Fraction, saturation means value exactly 1, ranks come from
+``rational_linalg`` (a full rank modulo a prime certifies a wide matrix,
+anything else falls back to the fraction-free elimination), and the facet
+enumeration is an integer double description whose rays never leave int64.
 
 Strategies are ordered lexicographically by their concatenated outcome bits
 (party-major, setting-major; bit 0 encodes outcome +1).  Flipping the
@@ -162,10 +163,19 @@ class TightnessReport:
 
 @lru_cache(maxsize=1024)
 def tightness(expr: BellExpression) -> TightnessReport:
-    """Exact facet test: validity (lr_max <= 1) plus full-rank saturation."""
+    """Exact facet test: validity (lr_max <= 1) plus full-rank saturation.
+
+    Saturating rows of more than ``ENUMERATION_CAP`` entries are refused unbuilt.
+    """
     rows, vals, lcm = _vertex_values(expr)
     lr = Fraction(int(vals.max()), lcm)
-    vecs = _vertices(rows, np.flatnonzero(vals == lcm))  # value exactly 1
+    saturating = np.flatnonzero(vals == lcm)  # value exactly 1
+    if len(saturating) * expr.scenario.dimension > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"{len(saturating)} saturating vertices x {expr.scenario.dimension} "
+            f"coordinates are over the cap of {ENUMERATION_CAP} entries"
+        )
+    vecs = _vertices(rows, saturating)
     rank = integer_rank(vecs.tolist())
     valid = lr <= 1
     return TightnessReport(

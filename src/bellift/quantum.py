@@ -216,7 +216,7 @@ class MeasurementSettings:
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError("each party needs an (m, 3) array of directions")
             norms = np.linalg.norm(arr, axis=1)
-            if np.abs(norms - 1.0).max() > 1e-9:
+            if not np.isfinite(arr).all() or np.abs(norms - 1.0).max() > 1e-9:
                 raise ValueError("measurement directions must be unit vectors")
             arr.setflags(write=False)
             vecs.append(arr)

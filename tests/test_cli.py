@@ -103,6 +103,46 @@ def test_lift3_and_compat_on_incompatible_triple(capsys, tmp_path):
     assert json.loads(out)["metadata"]["compatibility"] is False
 
 
+def test_lift_metadata_keys_in_order(capsys, tmp_path):
+    from bellift import BellExpression, Scenario, symmetry_images, wbz333
+
+    _, b2, b3 = symmetry_images()
+    paths = [write_doc(tmp_path, f"{k}.json", e) for k, e in enumerate((wbz333(), b2, b3))]
+    code, out, err = run(capsys, "lift3", *paths)
+    assert code == 0 and err == ""
+    meta = json.loads(out)["metadata"]
+    assert list(meta) == ["name", "compatibility", "inputs_tight", "output_tight"]
+    assert meta == {
+        "name": "lift3",
+        "compatibility": True,
+        "inputs_tight": [True, True, True],
+        "output_tight": True,
+    }
+
+    two = Scenario((2, 2))
+    paths = [
+        write_doc(tmp_path, f"e{k}.json", BellExpression.from_terms(two, [(idx, 1)]))
+        for k, idx in enumerate([(0, 0), (0, 1), (1, 0)])
+    ]
+    code, out, err = run(capsys, "lift3", *paths)
+    assert code == 0 and "compatibility condition fails" in err
+    assert list(json.loads(out)["metadata"]) == [
+        "name", "compatibility", "compatibility_witness", "inputs_tight", "output_tight"
+    ]
+
+    code, out, err = run(capsys, "lift2", *paths[:2])
+    assert code == 0 and err == ""
+    assert list(json.loads(out)["metadata"]) == ["name", "inputs_tight", "output_tight"]
+
+
+@pytest.mark.parametrize("command", ["lift2", "lift3"])
+def test_lift_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--no-diagnose" in capsys.readouterr().out
+
+
 def test_builtin_commands(capsys):
     code, out, _ = run(capsys, "builtin", "four-party-19")
     assert code == 0
@@ -166,6 +206,15 @@ def test_oversized_states_exit_with_the_cap_code(capsys, tmp_path):
     assert code == 2 and "cap" in err
 
 
+def test_non_finite_directions_are_refused(capsys, tmp_path):
+    chsh = write_doc(tmp_path, "chsh.json", mabk(2))
+    for bad in (math.nan, math.inf):
+        directions = tmp_path / "directions.json"
+        directions.write_text(json.dumps([[[bad, 0.0, 0.0], [0.0, 1.0, 0.0]]] * 2))
+        code, out, err = run(capsys, "spectrum", chsh, str(directions))
+        assert code == 1 and "unit vectors" in err and out == ""
+
+
 def test_oversized_expressions_exit_with_the_cap_code(capsys, tmp_path):
     for n in ("40", "24"):
         code, out, err = run(capsys, "mabk", n)
@@ -173,6 +222,11 @@ def test_oversized_expressions_exit_with_the_cap_code(capsys, tmp_path):
     doc = tmp_path / "thirty.json"
     doc.write_text(json.dumps({"settings": [2] * 30, "terms": [{"s": [0] * 30, "c": "1"}]}))
     code, out, err = run(capsys, "lr-bound", str(doc))
+    assert code == 2 and "cap" in err and out == ""
+    # 2^18 saturating vertices x 343 coordinates, refused before the rows exist
+    doc = tmp_path / "seven.json"
+    doc.write_text(json.dumps({"settings": [7, 7, 7], "terms": [{"s": [0, 0, 0], "c": "1"}]}))
+    code, out, err = run(capsys, "tightness", str(doc))
     assert code == 2 and "cap" in err and out == ""
 
 

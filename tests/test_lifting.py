@@ -1,5 +1,6 @@
 """Lifting constructions: two- and three-setting extensions and built-ins."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -73,18 +74,46 @@ def test_lift2_theorem_sample_both_directions():
     assert not tightness(lift2(weak, g, diagnose=False)[0]).is_tight
 
 
-def test_lift3_restriction_recovers_inputs():
-    """Freezing the new party's outcomes restores I0, I2, I3 and the implied I1."""
-    b, b2, b3 = wbz333(), symmetry_images()[1], symmetry_images()[2]
-    lifted, _ = lift3(b, b2, b3, diagnose=False)
-    i1 = linear_combine([(1, b2), (1, b3), (-1, b)])
-    recovered = {
-        (1, 1, 1): b,
-        (1, -1, 1): b2,
-        (1, 1, -1): b3,
-        (1, -1, -1): i1,
-    }
-    strategies = list(enumerate_strategies(b.scenario))[:40]
+def _random_inputs(count, seed):
+    """``count`` random rational expressions on the (2, 3) scenario."""
+    rng = random.Random(seed)
+    scenario = Scenario((2, 3))
+    return tuple(
+        BellExpression(
+            scenario,
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)),
+        )
+        for _ in range(count)
+    )
+
+
+def _flagship_triple():
+    _, b2, b3 = symmetry_images()
+    return wbz333(), b2, b3
+
+
+@pytest.mark.parametrize(
+    "make_inputs",
+    [
+        pytest.param(lambda: (DELTA0, DELTA1), id="lift2-deltas"),
+        pytest.param(lambda: _random_inputs(2, seed=2), id="lift2-random"),
+        pytest.param(_flagship_triple, id="lift3-wbz333"),
+        pytest.param(lambda: _random_inputs(3, seed=3), id="lift3-random"),
+    ],
+)
+def test_restriction_recovers_inputs(make_inputs):
+    """Freezing the new party's outcomes restores the inputs: I+ at (+1,+1) and
+    I- at (+1,-1) for lift2; I0, I2, I3 and the implied I1 for lift3."""
+    inputs = make_inputs()
+    if len(inputs) == 2:
+        lifted, _ = lift2(*inputs, diagnose=False)
+        recovered = dict(zip([(1, 1), (1, -1)], inputs))
+    else:
+        i0, i2, i3 = inputs
+        lifted, _ = lift3(i0, i2, i3, diagnose=False)
+        i1 = linear_combine([(1, i2), (1, i3), (-1, i0)])
+        recovered = {(1, 1, 1): i0, (1, -1, 1): i2, (1, 1, -1): i3, (1, -1, -1): i1}
+    strategies = list(enumerate_strategies(inputs[0].scenario))[:40]
     for new_outcomes, target in recovered.items():
         for s in strategies:
             combined = DeterministicStrategy((new_outcomes, *s.outcomes))

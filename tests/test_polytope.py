@@ -151,6 +151,25 @@ def test_invalid_expression_is_not_tight():
     assert rep.lr_max == 2
 
 
+def test_tightness_sizes_the_saturating_rows_before_building_them(monkeypatch):
+    built = []
+
+    def record(rows, ids):
+        built.append(len(ids))
+        return np.zeros((len(ids), 1), dtype=np.int64)
+
+    monkeypatch.setattr(polytope, "_vertices", record)
+    monkeypatch.setattr(polytope, "integer_rank", lambda rows: 0)
+    # 2^18 saturating vertices x 343 coordinates: refused, nothing built
+    one_term = expr(Scenario((7, 7, 7)), [((0, 0, 0), 1)])
+    with pytest.raises(EnumerationCapExceeded, match="262144 saturating vertices"):
+        tightness.__wrapped__(one_term)
+    assert built == []
+    # 4096 saturating vertices x 4096 coordinates sit exactly at the cap
+    tightness.__wrapped__(mabk(12))
+    assert built == [4096]
+
+
 @pytest.mark.parametrize(
     "e",
     [
