@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .polytope import (
     tightness,
 )
 from .quantum import (
+    DEGENERACY_TOL,
+    STATE_NAMES,
     MeasurementSettings,
     SeesawConfig,
     bell_operator,
@@ -117,20 +119,23 @@ def _state_from_args(args: argparse.Namespace):
 
 
 def _add_state_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--state",
-        required=True,
-        help="named state: ghz4, w4, pdc, chi, cluster4, bell-pair, "
-        "ghz, product-zeros, generalized-ghz",
-    )
+    sub.add_argument("--state", required=True, choices=STATE_NAMES, help="named state")
     sub.add_argument("--parties", type=int, help="qubit count for ghz / product-zeros")
     sub.add_argument(
         "--lam-deg", type=float, help="angle in degrees for generalized-ghz"
     )
 
 
-def _seesaw_config(args: argparse.Namespace) -> SeesawConfig:
-    return SeesawConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
+_BUILTINS: dict[str, Callable[[], Any]] = {
+    "wbz333": lambda: serialize_expression(wbz333(), {"name": "wbz333"}),
+    "four-party-19": lambda: serialize_expression(four_party_19(), {"name": "four-party-19"}),
+    "symmetry-images": lambda: [
+        serialize_expression(img, {"name": name})
+        for img, name in zip(
+            symmetry_images(), ["swap-settings-0-1", "swap-settings-0-2", "cycle-settings-201"]
+        )
+    ],
+}
 
 
 def _build_parser() -> _Parser:
@@ -173,14 +178,16 @@ def _build_parser() -> _Parser:
     p.add_argument("n", type=int)
 
     p = add("builtin", "built-in expressions")
-    p.add_argument("name", choices=["wbz333", "four-party-19", "symmetry-images"])
+    p.add_argument("name", choices=_BUILTINS)
 
     p = add("violate", "see-saw maximization of the violation factor for a state")
     p.add_argument("expr")
     _add_state_options(p)
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10, help="see-saw convergence tolerance")
+    p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
+    p.add_argument("--seed", type=int, default=SeesawConfig.seed)
+    p.add_argument(
+        "--tol", type=float, default=SeesawConfig.tol, help="see-saw convergence tolerance"
+    )
 
     p = add("spectrum", "eigenvalues of the Bell operator at given settings")
     p.add_argument("expr")
@@ -189,15 +196,15 @@ def _build_parser() -> _Parser:
         help="JSON settings document ('-' for stdin); the violate output works as-is",
     )
     p.add_argument(
-        "--tol", type=float, default=1e-6, help="degeneracy grouping tolerance"
+        "--tol", type=float, default=DEGENERACY_TOL, help="degeneracy grouping tolerance"
     )
 
     p = add("corr-tensor", "full correlation tensor of a state in the coordinate bases")
     _add_state_options(p)
 
     p = add("reproduce", "recompute all built-in reference values and report pass/fail")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--seed", type=int, default=SeesawConfig.seed)
+    p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
 
     return parser
 
@@ -261,29 +268,13 @@ def _run(args: argparse.Namespace) -> int:
         )
         _emit({"holds": holds, "witness": _strategy_payload(witness)}, args.out)
     elif cmd == "mabk":
-        if args.n < 1:
-            raise DocumentError("mabk needs n >= 1")
         _emit(serialize_expression(mabk(args.n), {"name": f"mabk-{args.n}"}), args.out)
     elif cmd == "builtin":
-        if args.name == "wbz333":
-            _emit(serialize_expression(wbz333(), {"name": "wbz333"}), args.out)
-        elif args.name == "four-party-19":
-            _emit(
-                serialize_expression(four_party_19(), {"name": "four-party-19"}),
-                args.out,
-            )
-        else:
-            names = ["swap-settings-0-1", "swap-settings-0-2", "cycle-settings-201"]
-            _emit(
-                [
-                    serialize_expression(img, {"name": n})
-                    for img, n in zip(symmetry_images(), names)
-                ],
-                args.out,
-            )
+        _emit(_BUILTINS[args.name](), args.out)
     elif cmd == "violate":
         expr = _read_expression(args.expr)
-        result = seesaw_maximize(expr, _state_from_args(args), _seesaw_config(args))
+        cfg = SeesawConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
+        result = seesaw_maximize(expr, _state_from_args(args), cfg)
         _emit(
             {
                 "value": result.value,

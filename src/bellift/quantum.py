@@ -41,7 +41,8 @@ PAULIS = np.array(
 _HERMITICITY_TOL = 1e-10
 _STATE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
-_DEGENERACY_TOL = 1e-6
+DEGENERACY_TOL = 1e-6
+_CRITICAL_LAMBDA_RESOLUTION_DEG = 2e-3
 
 
 # ---------------------------------------------------------------------------
@@ -93,31 +94,40 @@ def _check_qubit_count(n: int) -> None:
         )
 
 
-def _ket_from_bits(bits: str) -> np.ndarray:
-    _check_qubit_count(len(bits))
-    ket = np.zeros(2 ** len(bits), dtype=np.complex128)
-    ket[int(bits, 2)] = 1.0
-    return ket
+_QUBIT_KETS = {
+    "0": np.array([1.0, 0.0]),
+    "1": np.array([0.0, 1.0]),
+    "+": np.array([1.0, 1.0]) / math.sqrt(2),
+    "-": np.array([1.0, -1.0]) / math.sqrt(2),
+}
+
+# Each named pure state as {label: amplitude}, one label character per qubit
+# from _QUBIT_KETS, before normalization.
+_KETS: dict[str, dict[str, float]] = {
+    "ghz4": {"0000": 1, "1111": 1},
+    "w4": dict.fromkeys(["0001", "0010", "0100", "1000"], 1),
+    "pdc": {"0011": 2, "1100": 2, "0101": -1, "0110": 1, "1001": 1, "1010": -1},
+    "chi": {
+        "0000": 1, "0011": -1, "0101": -1, "0110": 1,
+        "1001": 1, "1010": 1, "1100": 1, "1111": 1,
+    },
+    "cluster4": dict.fromkeys(["+0+0", "+0-1", "-1-0", "-1+1"], 1),
+    "bell-pair": {"00": 1, "11": 1},
+}
+
+STATE_NAMES = (*_KETS, "ghz", "product-zeros", "generalized-ghz")
 
 
-def _cluster4_ket() -> np.ndarray:
-    plus = np.array([1, 1], dtype=np.complex128) / math.sqrt(2)
-    minus = np.array([1, -1], dtype=np.complex128) / math.sqrt(2)
-    zero = np.array([1, 0], dtype=np.complex128)
-    one = np.array([0, 1], dtype=np.complex128)
+def _ket_state(table: dict[str, float]) -> QuantumState:
+    """The normalized sum of amplitude x product ket over a label table.
 
-    def prod(*factors: np.ndarray) -> np.ndarray:
-        out = factors[0]
-        for f in factors[1:]:
-            out = np.kron(out, f)
-        return out
-
-    return 0.5 * (
-        prod(plus, zero, plus, zero)
-        + prod(plus, zero, minus, one)
-        + prod(minus, one, minus, zero)
-        + prod(minus, one, plus, one)
-    )
+    All terms grow together, one qubit at a time, by an outer product.
+    """
+    factors = np.array([[_QUBIT_KETS[qubit] for qubit in label] for label in table])
+    terms = np.array(list(table.values()), dtype=np.complex128)[:, None]
+    for factor in factors.transpose(1, 0, 2):  # (terms, 2) per qubit
+        terms = (terms[:, :, None] * factor[:, None, :]).reshape(len(terms), -1)
+    return QuantumState.from_ket(terms.sum(axis=0))
 
 
 def make_state(
@@ -127,74 +137,32 @@ def make_state(
 ) -> QuantumState:
     """Named states used throughout the analysis.
 
-    ``ghz`` and ``product-zeros`` take the qubit count as ``param``;
-    ``generalized-ghz`` takes the angle lambda in radians, restricted to
-    [0, pi/4]; ``custom`` takes a density matrix via ``rho``.
+    The names are ``STATE_NAMES``.  ``ghz`` and ``product-zeros`` take the
+    qubit count as ``param``; ``generalized-ghz`` takes the angle lambda in
+    radians, restricted to [0, pi/4]; ``custom`` takes a density matrix via
+    ``rho``.
     """
     if name == "custom":
         if rho is None:
             raise ValueError("custom state needs a density matrix")
         mat = np.asarray(rho, dtype=np.complex128)
         return QuantumState(int(round(math.log2(mat.shape[0]))), mat)
-    if name == "ghz4":
-        return make_state("ghz", 4)
-    if name == "bell-pair":
-        return make_state("ghz", 2)
-    if name == "ghz":
+    if name in _KETS:
+        return _ket_state(_KETS[name])
+    if name in ("ghz", "product-zeros"):
         if param is None or int(param) < 1:
-            raise ValueError("ghz needs a positive qubit count")
+            raise ValueError(f"{name} needs a positive qubit count")
         n = int(param)
-        ket = (_ket_from_bits("0" * n) + _ket_from_bits("1" * n)) / math.sqrt(2)
-        return QuantumState.from_ket(ket)
-    if name == "product-zeros":
-        if param is None or int(param) < 1:
-            raise ValueError("product-zeros needs a positive qubit count")
-        return QuantumState.from_ket(_ket_from_bits("0" * int(param)))
+        _check_qubit_count(n)  # before the labels or the ket exist
+        labels = ["0" * n, "1" * n] if name == "ghz" else ["0" * n]
+        return _ket_state(dict.fromkeys(labels, 1))
     if name == "generalized-ghz":
         if param is None:
             raise ValueError("generalized-ghz needs the angle lambda in radians")
         lam = float(param)
         if not 0.0 <= lam <= math.pi / 4 + 1e-15:
             raise ValueError("lambda must lie in [0, pi/4]")
-        ket = math.cos(lam) * _ket_from_bits("0000") + math.sin(lam) * _ket_from_bits(
-            "1111"
-        )
-        return QuantumState.from_ket(ket)
-    if name == "w4":
-        ket = 0.5 * (
-            _ket_from_bits("0001")
-            + _ket_from_bits("0010")
-            + _ket_from_bits("0100")
-            + _ket_from_bits("1000")
-        )
-        return QuantumState.from_ket(ket)
-    if name == "pdc":
-        ket = math.sqrt(1 / 3) * (
-            _ket_from_bits("0011")
-            + _ket_from_bits("1100")
-            - 0.5
-            * (
-                _ket_from_bits("0101")
-                - _ket_from_bits("0110")
-                - _ket_from_bits("1001")
-                + _ket_from_bits("1010")
-            )
-        )
-        return QuantumState.from_ket(ket)
-    if name == "chi":
-        ket = (
-            _ket_from_bits("0000")
-            - _ket_from_bits("0011")
-            - _ket_from_bits("0101")
-            + _ket_from_bits("0110")
-            + _ket_from_bits("1001")
-            + _ket_from_bits("1010")
-            + _ket_from_bits("1100")
-            + _ket_from_bits("1111")
-        ) / (2 * math.sqrt(2))
-        return QuantumState.from_ket(ket)
-    if name == "cluster4":
-        return QuantumState.from_ket(_cluster4_ket())
+        return _ket_state({"0000": math.cos(lam), "1111": math.sin(lam)})
     raise ValueError(f"unknown state name {name!r}")
 
 
@@ -290,7 +258,7 @@ class Spectrum:
     groups: tuple[tuple[float, int], ...]
 
 
-def spectrum(operator: np.ndarray, degeneracy_tol: float = _DEGENERACY_TOL) -> Spectrum:
+def spectrum(operator: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
     """Eigenvalues of a Hermitian operator, grouped by near-degeneracy."""
     op = np.asarray(operator, dtype=np.complex128)
     if np.abs(op - op.conj().T).max() > _HERMITICITY_TOL:
@@ -564,10 +532,7 @@ def mabk_optimal_settings(n: int) -> MeasurementSettings:
     return MeasurementSettings(tuple(vectors))
 
 
-def mabk_critical_lambda(
-    config: SeesawConfig | None = None,
-    resolution_deg: float = 2e-3,
-) -> float:
+def mabk_critical_lambda(config: SeesawConfig | None = None) -> float:
     """Angle (degrees) where generalized GHZ states start violating 4-party MABK.
 
     Bisection on the see-saw violation factor of the four-party MABK
@@ -586,7 +551,7 @@ def mabk_critical_lambda(
     lo, hi = 5.0, 15.0
     if violates(lo) or not violates(hi):
         raise RuntimeError("bisection bracket does not straddle the threshold")
-    while hi - lo > resolution_deg:
+    while hi - lo > _CRITICAL_LAMBDA_RESOLUTION_DEG:
         mid = 0.5 * (lo + hi)
         if violates(mid):
             hi = mid

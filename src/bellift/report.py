@@ -98,7 +98,9 @@ def format_table(report: Report) -> str:
 class BatteryContext:
     """What the checks share for one ``(seed, restarts)``, each built on first use."""
 
-    def __init__(self, seed: int = 0, restarts: int = 50) -> None:
+    def __init__(
+        self, seed: int = SeesawConfig.seed, restarts: int = SeesawConfig.restarts
+    ) -> None:
         self.cfg = SeesawConfig(restarts=restarts, seed=seed)
         self._best: dict[str, SeesawResult] = {}
 
@@ -446,7 +448,9 @@ def battery() -> tuple[Check, ...]:
     )
 
 
-def reproduce_report(seed: int = 0, restarts: int = 50) -> Report:
+def reproduce_report(
+    seed: int = SeesawConfig.seed, restarts: int = SeesawConfig.restarts
+) -> Report:
     """Recompute every reference quantity and report pass/fail per row."""
     t0 = time.perf_counter()
     ctx = BatteryContext(seed, restarts)

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from bellift import Report, ReportRow, mabk
-from bellift.cli import main
+from bellift import Report, ReportRow, SeesawConfig, mabk, make_state, sum_squared_correlations
+from bellift.cli import _build_parser, main
 from bellift.documents import parse_expression, serialize_expression
+from bellift.quantum import DEGENERACY_TOL, STATE_NAMES
 
 
 def run(capsys, *argv):
@@ -237,6 +238,40 @@ def test_corr_tensor_command(capsys):
     assert payload["parties"] == 2
     assert abs(payload["sum_squares"] - 3.0) < 1e-9
     assert abs(payload["values"][2][2] - 1.0) < 1e-12  # zz
+
+
+@pytest.mark.parametrize("name", STATE_NAMES)
+def test_corr_tensor_takes_every_state_name(capsys, name):
+    extra, param = {
+        "ghz": (["--parties", "2"], 2),
+        "product-zeros": (["--parties", "2"], 2),
+        "generalized-ghz": (["--lam-deg", "10"], math.radians(10)),
+    }.get(name, ([], None))
+    code, out, _ = run(capsys, "corr-tensor", "--state", name, *extra)
+    assert code == 0
+    assert json.loads(out)["sum_squares"] == sum_squared_correlations(make_state(name, param))
+
+
+def test_unknown_state_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["corr-tensor", "--state", "nope"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_mabk_needs_a_party(capsys):
+    code, out, err = run(capsys, "mabk", "0")
+    assert code == 1 and out == ""
+    assert err == "bellift: error: mabk needs at least one party\n"
+
+
+def test_defaults_come_from_the_library():
+    parser, cfg = _build_parser(), SeesawConfig()
+    args = parser.parse_args(["violate", "e.json", "--state", "ghz4"])
+    assert (args.restarts, args.seed, args.tol) == (cfg.restarts, cfg.seed, cfg.tol)
+    args = parser.parse_args(["reproduce"])
+    assert (args.restarts, args.seed) == (cfg.restarts, cfg.seed)
+    assert parser.parse_args(["spectrum", "e.json", "s.json"]).tol == DEGENERACY_TOL
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -34,6 +34,13 @@ CHSH = mabk(2)
 BELL = make_state("bell-pair")
 
 
+def kron_chain(mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
@@ -77,6 +84,66 @@ def test_state_size_caps_refuse_before_allocating():
         QuantumState(qubits + 1, np.eye(2))  # refused before the shape check
 
 
+ZERO, ONE = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+PLUS, MINUS = (ZERO + ONE) / math.sqrt(2), (ZERO - ONE) / math.sqrt(2)
+
+
+def basis(bits):
+    ket = np.zeros(2 ** len(bits))
+    ket[int(bits, 2)] = 1.0
+    return ket
+
+
+@pytest.mark.parametrize(
+    "name, param, ket",
+    [
+        ("ghz4", None, (basis("0000") + basis("1111")) / math.sqrt(2)),
+        ("bell-pair", None, (basis("00") + basis("11")) / math.sqrt(2)),
+        ("w4", None, (basis("0001") + basis("0010") + basis("0100") + basis("1000")) / 2),
+        (
+            "pdc",
+            None,
+            math.sqrt(1 / 3)
+            * (
+                basis("0011")
+                + basis("1100")
+                - (basis("0101") - basis("0110") - basis("1001") + basis("1010")) / 2
+            ),
+        ),
+        (
+            "chi",
+            None,
+            (
+                basis("0000") - basis("0011") - basis("0101") + basis("0110")
+                + basis("1001") + basis("1010") + basis("1100") + basis("1111")
+            )
+            / math.sqrt(8),
+        ),
+        (
+            "cluster4",
+            None,
+            (
+                kron_chain([PLUS, ZERO, PLUS, ZERO])
+                + kron_chain([PLUS, ZERO, MINUS, ONE])
+                + kron_chain([MINUS, ONE, MINUS, ZERO])
+                + kron_chain([MINUS, ONE, PLUS, ONE])
+            )
+            / 2,
+        ),
+        ("ghz", 1, (ZERO + ONE) / math.sqrt(2)),
+        ("ghz", 3, (basis("000") + basis("111")) / math.sqrt(2)),
+        ("product-zeros", 2, basis("00")),
+        ("generalized-ghz", 0.0, basis("0000")),
+        ("generalized-ghz", 0.3, math.cos(0.3) * basis("0000") + math.sin(0.3) * basis("1111")),
+        ("generalized-ghz", math.pi / 4, (basis("0000") + basis("1111")) / math.sqrt(2)),
+    ],
+)
+def test_named_kets_entrywise(name, param, ket):
+    # trace and sum T^2 are blind to a sign or phase slip that is a local unitary
+    rho = make_state(name, param).rho
+    assert np.abs(rho - np.outer(ket, ket.conj())).max() <= 1e-15
+
+
 def test_generalized_ghz_endpoints():
     assert np.allclose(make_state("generalized-ghz", math.pi / 4).rho, make_state("ghz4").rho)
     assert np.allclose(make_state("generalized-ghz", 0.0).rho, make_state("product-zeros", 4).rho)
@@ -85,13 +152,6 @@ def test_generalized_ghz_endpoints():
 # ---------------------------------------------------------------------------
 # correlation tensors
 # ---------------------------------------------------------------------------
-
-
-def kron_chain(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def test_correlation_tensor_against_kron_oracle():
