@@ -7,10 +7,11 @@ Data conventions used throughout the package:
 * A *Bell expression* is a real linear form on correlation space,
   ``I = sum_idx c[idx] * E[idx]``, where ``idx`` runs over joint setting
   tuples and ``E[idx]`` is the full n-party correlator.  Coefficients are
-  exact rationals (`fractions.Fraction`); floats are rejected so that
-  saturation and bound checks can use exact equality.
-* Coefficient tensors are stored flat in C (row-major) order over the
-  setting tuples.  ``Scenario.flat_index`` maps a tuple to its position.
+  exact rationals; floats are rejected so that saturation and bound checks
+  can use exact equality.
+* Coefficients are stored as gcd-reduced integer numerators over one positive
+  denominator, flat in C (row-major) order over the setting tuples, and only
+  this module builds them.  ``Scenario.flat_index`` maps a tuple to its position.
 * A *deterministic strategy* assigns one outcome in {-1, +1} per party per
   setting.  Its *admissible vector* is the outer product of the per-party
   outcome vectors, i.e. ``v[idx] = prod_p outcomes[p][idx_p]``; these are
@@ -19,18 +20,22 @@ Data conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 RationalLike = Fraction | int | str
 
 ENUMERATION_CAP = 2**24
-# Exact coefficients are Python Fractions, built one object at a time, so
+# Exact coefficients are Python ints, built one object at a time, so
 # expressions get a far smaller cap than the float arrays of the quantum layer.
 EXACT_COEFFICIENT_CAP = 2**16
+_INT64_SAFE = 2**62  # int64 arrays are exact while every entry and sum stays below
 
 
 class EnumerationCapExceeded(Exception):
@@ -55,6 +60,13 @@ def _as_fraction(value: RationalLike) -> Fraction:
             "pass a Fraction, int, or 'p/q' string instead"
         )
     return Fraction(value)
+
+
+def _integers(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Exact rationals as integer numerators over the lcm of their denominators."""
+    fracs = [_as_fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 @dataclass(frozen=True)
@@ -129,29 +141,24 @@ class DeterministicStrategy:
         return tuple(vec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BellExpression:
-    """A full-correlation Bell expression with exact rational coefficients."""
+    """A full-correlation Bell expression with exact rational coefficients, stored
+    as reduced ``numerators`` over ``denominator``, so ``==`` and ``hash`` are exact."""
 
     scenario: Scenario
-    coeffs: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        _require_exact_size(self.scenario)
-        coeffs = tuple(_as_fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.scenario.dimension:
-            raise ValueError(
-                f"expected {self.scenario.dimension} coefficients for scenario "
-                f"{self.scenario}, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, scenario: Scenario, coeffs: Iterable[RationalLike]) -> None:
+        _require_exact_size(scenario)  # before the coefficients are consumed
+        vars(self).update(vars(_exact(scenario, *_integers(coeffs))))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, scenario: Scenario) -> BellExpression:
-        _require_exact_size(scenario)
-        return cls(scenario, (Fraction(0),) * scenario.dimension)
+        return cls.from_terms(scenario, ())
 
     @classmethod
     def from_terms(
@@ -164,7 +171,7 @@ class BellExpression:
         coeffs = [Fraction(0)] * scenario.dimension
         for idx, c in terms:
             coeffs[scenario.flat_index(idx)] += _as_fraction(c)
-        return cls(scenario, tuple(coeffs))
+        return cls(scenario, coeffs)
 
     @classmethod
     def from_product(
@@ -178,49 +185,59 @@ class BellExpression:
         ``factors[p][j]`` is the weight of party p's setting j, so e.g.
         weights ``(0, 1, -1)`` encode "setting 1 minus setting 2".
         """
-        if len(factors) != scenario.parties:
-            raise ValueError("one weight vector per party required")
+        if tuple(len(f) for f in factors) != scenario.settings:
+            raise ValueError("one weight per setting of each party required")
         _require_exact_size(scenario)
-        s = _as_fraction(scale)
-        coeffs = []
-        for idx in scenario.index_tuples():
-            c = s
-            for p, j in enumerate(idx):
-                c *= _as_fraction(factors[p][j])
-            coeffs.append(c)
-        return cls(scenario, tuple(coeffs))
+        parts = [_integers(weights) for weights in ([scale], *factors)]
+        nums = functools.reduce(np.multiply.outer, [np.array(n, dtype=object) for n, _ in parts])
+        return _exact(scenario, nums.ravel().tolist(), math.prod(d for _, d in parts))
 
     # -- accessors ---------------------------------------------------------
 
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, flat in C order."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+
     def coeff(self, idx: Sequence[int]) -> Fraction:
-        return self.coeffs[self.scenario.flat_index(idx)]
+        return Fraction(self.numerators[self.scenario.flat_index(idx)], self.denominator)
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """Nonzero ``(setting tuple, coefficient)`` pairs in C order."""
-        for idx, c in zip(self.scenario.index_tuples(), self.coeffs):
-            if c:
-                yield idx, c
+        for idx, n in zip(self.scenario.index_tuples(), self.numerators):
+            if n:
+                yield idx, Fraction(n, self.denominator)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: BellExpression) -> BellExpression:
-        _require_same_scenario(self, other)
-        return BellExpression(
-            self.scenario, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return linear_combine([(1, self), (1, other)])
 
     def __sub__(self, other: BellExpression) -> BellExpression:
-        _require_same_scenario(self, other)
-        return BellExpression(
-            self.scenario, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return linear_combine([(1, self), (-1, other)])
 
     def __neg__(self) -> BellExpression:
-        return BellExpression(self.scenario, tuple(-c for c in self.coeffs))
+        return linear_combine([(-1, self)])
 
     def scaled(self, factor: RationalLike) -> BellExpression:
-        f = _as_fraction(factor)
-        return BellExpression(self.scenario, tuple(f * c for c in self.coeffs))
+        return linear_combine([(factor, self)])
+
+
+def _exact(scenario: Scenario, numerators: Sequence[int], denominator: int) -> BellExpression:
+    """Every expression's constructor: Python-int ``numerators`` in C order over
+    a positive ``denominator``, both divided by their gcd."""
+    _require_exact_size(scenario)
+    if len(numerators) != scenario.dimension:
+        raise ValueError(
+            f"expected {scenario.dimension} coefficients for scenario "
+            f"{scenario}, got {len(numerators)}"
+        )
+    g = math.gcd(denominator, *numerators)
+    expr = object.__new__(BellExpression)
+    object.__setattr__(expr, "scenario", scenario)
+    object.__setattr__(expr, "numerators", tuple(n // g for n in numerators))
+    object.__setattr__(expr, "denominator", denominator // g)
+    return expr
 
 
 def _require_same_scenario(*exprs: BellExpression) -> None:
@@ -232,45 +249,36 @@ def _require_same_scenario(*exprs: BellExpression) -> None:
 
 def evaluate(expr: BellExpression, strategy: DeterministicStrategy) -> Fraction:
     """Exact value of the expression on one deterministic strategy."""
-    if not strategy.matches(expr.scenario):
-        raise ValueError(
-            f"strategy shape {tuple(len(p) for p in strategy.outcomes)} does not "
-            f"match scenario {expr.scenario}"
-        )
-    total = Fraction(0)
-    outcomes = strategy.outcomes
-    for idx, c in expr.terms():
-        sign = 1
-        for p, j in enumerate(idx):
-            sign *= outcomes[p][j]
-        total += c if sign > 0 else -c
-    return total
+    vertex = strategy.admissible_vector(expr.scenario)
+    return Fraction(sum(n * v for n, v in zip(expr.numerators, vertex)), expr.denominator)
 
 
 def linear_combine(
     terms: Sequence[tuple[RationalLike, BellExpression]],
 ) -> BellExpression:
-    """Exact rational linear combination of same-scenario expressions."""
+    """Exact rational linear combination of same-scenario expressions, as one
+    integer matrix product over a common denominator."""
     if not terms:
         raise ValueError("linear_combine needs at least one term")
-    _require_same_scenario(*(expr for _, expr in terms))
-    weights = [_as_fraction(weight) for weight, _ in terms]
-    columns = zip(*(expr.coeffs for _, expr in terms))
-    coeffs = [sum(w * c for w, c in zip(weights, column) if c) for column in columns]
-    return BellExpression(terms[0][1].scenario, tuple(coeffs))
+    exprs = [expr for _, expr in terms]
+    _require_same_scenario(*exprs)
+    weights, den = _integers(weight for weight, _ in terms)
+    lcm = math.lcm(*(e.denominator for e in exprs))
+    scales = [w * (lcm // e.denominator) for w, e in zip(weights, exprs)]
+    # bounds every scale, every numerator and every sum of products
+    bound = max(1, sum(map(abs, scales))) * max(1, *(max(map(abs, e.numerators)) for e in exprs))
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    nums = np.array(scales, dtype=dtype) @ np.array([e.numerators for e in exprs], dtype=dtype)
+    return _exact(exprs[0].scenario, nums.tolist(), den * lcm)
 
 
 def permute_parties(expr: BellExpression, order: Sequence[int]) -> BellExpression:
     """Relabel parties: new party k is old party ``order[k]``."""
-    scenario = expr.scenario
-    if sorted(order) != list(range(scenario.parties)):
+    settings = expr.scenario.settings
+    if sorted(order) != list(range(len(settings))):
         raise ValueError(f"order {tuple(order)} is not a permutation of the parties")
-    new_scenario = Scenario(tuple(scenario.settings[p] for p in order))
-    coeffs = [Fraction(0)] * new_scenario.dimension
-    for idx, c in zip(scenario.index_tuples(), expr.coeffs):
-        new_idx = tuple(idx[p] for p in order)
-        coeffs[new_scenario.flat_index(new_idx)] = c
-    return BellExpression(new_scenario, tuple(coeffs))
+    nums = np.array(expr.numerators, dtype=object).reshape(settings).transpose(order)
+    return _exact(Scenario(nums.shape), nums.ravel().tolist(), expr.denominator)
 
 
 @dataclass(frozen=True)
@@ -324,12 +332,7 @@ def apply_signed_setting_map(
     scenario = expr.scenario
     if tuple(len(p) for p in mapping.permutations) != scenario.settings:
         raise ValueError(f"map shape does not match scenario {scenario}")
-    coeffs = [Fraction(0)] * scenario.dimension
-    for idx, c in zip(scenario.index_tuples(), expr.coeffs):
-        sign = 1
-        new_idx = []
-        for p, j in enumerate(idx):
-            new_idx.append(mapping.permutations[p][j])
-            sign *= mapping.signs[p][j]
-        coeffs[scenario.flat_index(new_idx)] = sign * c
-    return BellExpression(scenario, tuple(coeffs))
+    old = np.array(expr.numerators, dtype=object).reshape(scenario.settings)
+    new = np.empty_like(old)
+    new[np.ix_(*mapping.permutations)] = old * functools.reduce(np.multiply.outer, mapping.signs)
+    return _exact(scenario, new.ravel().tolist(), expr.denominator)

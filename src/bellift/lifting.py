@@ -25,6 +25,7 @@ lifting of those images.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +38,7 @@ from .expressions import (
     EnumerationCapExceeded,
     Scenario,
     SignedSettingMap,
+    _exact,
     _require_same_scenario,
     apply_signed_setting_map,
     linear_combine,
@@ -78,10 +80,10 @@ def _lift(
     set, and only once the output is built, so the output's size cap is met first.
     """
     _require_same_scenario(*inputs)
-    coeffs: tuple[Fraction, ...] = ()
-    for row in weights:
-        coeffs += linear_combine([(w, e) for w, e in zip(row, inputs) if w]).coeffs
-    out = BellExpression(Scenario((len(weights),) + inputs[0].scenario.settings), coeffs)
+    blocks = [linear_combine([(w, e) for w, e in zip(row, inputs) if w]) for row in weights]
+    den = math.lcm(*(b.denominator for b in blocks))
+    nums = [n * (den // b.denominator) for b in blocks for n in b.numerators]
+    out = _exact(Scenario((len(weights),) + inputs[0].scenario.settings), nums, den)
     valid, witness = compatibility(*inputs) if compatibility else (None, None)
     inputs_tight = output_tight = None
     if diagnose:
@@ -111,7 +113,6 @@ def compatibility_holds(
     sufficient condition for the three-setting lift to be tight, not a
     characterization.
     """
-    _require_same_scenario(i0, i2, i3)
     i1 = linear_combine([(1, i2), (1, i3), (-1, i0)])
     bound, witness = lr_max_with_witness(i1)
     if bound <= 1:

@@ -2,8 +2,8 @@
 
 The polytope for a scenario is the convex hull of the admissible vectors of
 all deterministic strategies.  Everything here is exact and stays in
-``int``/``Fraction`` arithmetic: strategy values are integers after clearing
-coefficient denominators, the local-realistic maximum is returned as a
+``int``/``Fraction`` arithmetic: strategy values are integers over the
+expression's one denominator, the local-realistic maximum is returned as a
 Fraction, saturation means value exactly 1, ranks come from
 ``rational_linalg`` (a full rank modulo a prime certifies a wide matrix,
 anything else falls back to the fraction-free elimination), and the facet
@@ -25,22 +25,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .expressions import (  # the caps are re-exported from here
     ENUMERATION_CAP,
+    _INT64_SAFE,
     BellExpression,
     DeterministicStrategy,
     EnumerationCapExceeded,
     Scenario,
+    _exact,
 )
 from .rational_linalg import integer_kernel_vector, integer_rank
 
 FACET_RAY_CAP = 2**20  # intermediate rays of the facet enumeration
+RANK_WORK_CAP = 2**30  # rows * cols * min(rows, cols) of a saturating-row rank
 _MASK_BITS = 64  # one uint64 zero-set mask per ray
-_INT64_SAFE = 2**62
 _CHUNK = 2**16  # array entries per vectorised adjacency step
 
 
@@ -94,35 +95,27 @@ def _vertices(rows: list[np.ndarray], ids: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values times the lcm L of their denominators, plus L."""
-    lcm = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (lcm // v.denominator) for v in values], lcm
-
-
-def _vertex_values(expr: BellExpression) -> tuple[list[np.ndarray], np.ndarray, int]:
-    """Canonical rows, the integer values L*I(v) flat by canonical id, and L."""
+def _vertex_values(expr: BellExpression) -> tuple[list[np.ndarray], np.ndarray]:
+    """Canonical rows and the integer values denominator * I(v), flat by canonical id."""
     rows = _canonical_rows(expr.scenario)
-    ints, lcm = _clear_denominators(expr.coeffs)
-    bound = sum(abs(c) for c in ints)
     # int64 is exact while the largest possible |value| fits; otherwise fall
     # back to Python big ints in an object array.
-    dtype = np.int64 if bound < 2**62 else object
-    vals = np.array(ints, dtype=dtype).reshape(expr.scenario.settings)
+    dtype = np.int64 if sum(map(abs, expr.numerators)) < _INT64_SAFE else object
+    vals = np.array(expr.numerators, dtype=dtype).reshape(expr.scenario.settings)
     for party in rows:
         # contract the leading party axis; its strategy axis lands at the end,
         # so after one pass per party the axes are in party order again
         vals = np.tensordot(vals, party.astype(dtype), axes=([0], [1]))
-    return rows, vals.reshape(-1), lcm
+    return rows, vals.reshape(-1)
 
 
 def lr_max_with_witness(expr: BellExpression) -> tuple[Fraction, DeterministicStrategy]:
     """Exact local-realistic maximum and the first maximizing strategy."""
-    rows, vals, lcm = _vertex_values(expr)
+    rows, vals = _vertex_values(expr)
     best = int(np.argmax(vals))
     picks = np.unravel_index(best, [len(r) for r in rows])
     witness = DeterministicStrategy(tuple(party[i] for party, i in zip(rows, picks)))
-    return Fraction(int(vals[best]), lcm), witness
+    return Fraction(int(vals[best]), expr.denominator), witness
 
 
 @lru_cache(maxsize=1024)
@@ -165,15 +158,17 @@ class TightnessReport:
 def tightness(expr: BellExpression) -> TightnessReport:
     """Exact facet test: validity (lr_max <= 1) plus full-rank saturation.
 
-    Saturating rows of more than ``ENUMERATION_CAP`` entries are refused unbuilt.
+    Saturating rows of more than ``ENUMERATION_CAP`` entries, or whose rank
+    takes more than ``RANK_WORK_CAP`` elimination steps, are refused unbuilt.
     """
-    rows, vals, lcm = _vertex_values(expr)
-    lr = Fraction(int(vals.max()), lcm)
-    saturating = np.flatnonzero(vals == lcm)  # value exactly 1
-    if len(saturating) * expr.scenario.dimension > ENUMERATION_CAP:
+    rows, vals = _vertex_values(expr)
+    lr = Fraction(int(vals.max()), expr.denominator)
+    saturating = np.flatnonzero(vals == expr.denominator)  # value exactly 1
+    count, cols = len(saturating), expr.scenario.dimension
+    if count * cols > ENUMERATION_CAP or count * cols * min(count, cols) > RANK_WORK_CAP:
         raise EnumerationCapExceeded(
-            f"{len(saturating)} saturating vertices x {expr.scenario.dimension} "
-            f"coordinates are over the cap of {ENUMERATION_CAP} entries"
+            f"{count} saturating vertices x {cols} coordinates are over the cap of "
+            f"{ENUMERATION_CAP} entries or {RANK_WORK_CAP} elimination steps"
         )
     vecs = _vertices(rows, saturating)
     rank = integer_rank(vecs.tolist())
@@ -299,9 +294,8 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellExpression, ...]:
     # sort exactly: a / t scaled by the common lcm of the t is an integer tuple
     a, t = rays[:, :-1].tolist(), rays[:, -1].tolist()
     lcm = math.lcm(*t)
-    keys = sorted(tuple(x * (lcm // tk) for x in row) for row, tk in zip(a, t))
-    fractions = {x: Fraction(x, lcm) for x in set().union(*keys)}
-    return tuple(BellExpression(scenario, tuple(map(fractions.__getitem__, k))) for k in keys)
+    keys = sorted([x * (lcm // tk) for x in row] for row, tk in zip(a, t))
+    return tuple(_exact(scenario, k, lcm) for k in keys)
 
 
 # perfbench/workloads.py still calls the old name; the alias is the same

@@ -43,6 +43,7 @@ _STATE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-6
 _CRITICAL_LAMBDA_RESOLUTION_DEG = 2e-3
+_SEESAW_TIE_ROUNDOFF = 1e-12  # restart values this close to the best one tie
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,7 @@ def contract_coefficients(expr: BellExpression, settings: MeasurementSettings) -
     if not settings.matches(scenario):
         raise ValueError(f"settings shape does not match scenario {scenario}")
     n = scenario.parties
-    coeffs = np.array([float(c) for c in expr.coeffs]).reshape(scenario.settings)
+    coeffs = np.reshape([c / expr.denominator for c in expr.numerators], scenario.settings)
     operands: list = [coeffs, list(range(n))]
     out = []
     for p, vecs in enumerate(settings.vectors):
@@ -399,8 +400,8 @@ def seesaw_maximize(
     values and gradients both come from contracting the kernel
     ``coeffs x T`` (each party's setting and Pauli axes fused into one) with
     the other parties' directions, and a restart leaves the batch once it
-    stops.  The best value wins, the earliest restart on ties, including
-    ties within roundoff.  This is a heuristic for the true quantum maximum:
+    stops.  The earliest restart within ``_SEESAW_TIE_ROUNDOFF`` of the best
+    value wins.  This is a heuristic for the true quantum maximum:
     values are certified lower bounds only.
     """
     cfg = config or SeesawConfig()
@@ -423,9 +424,8 @@ def seesaw_maximize(
     scale = Fraction(1) / bound
     if scale != 1:
         logger.info("rescaling expression by %s to normalize lr_max to 1", scale)
-    coeffs = np.array([float(c * scale) for c in expr.coeffs]).reshape(
-        scenario.settings
-    )
+    normed = expr.scaled(scale)  # Python-int true division rounds as float(Fraction) does
+    coeffs = np.reshape([c / normed.denominator for c in normed.numerators], scenario.settings)
     corr = correlation_tensor(state).values
     # kernel[(j_0, i_0), ..., (j_n-1, i_n-1)] = coeffs[j_0, ...] * corr[i_0, ...]
     fused = [ax for p in range(n) for ax in (p, n + p)]
@@ -483,7 +483,7 @@ def seesaw_maximize(
             active = active[~stop]
 
     values = history[-1]
-    best = int(np.argmax(values))
+    best = int(np.flatnonzero(values >= values.max() - _SEESAW_TIE_ROUNDOFF)[0])
     return SeesawResult(
         value=float(values[best]),
         settings=MeasurementSettings(tuple(u[best] for u in final)),

@@ -1,5 +1,8 @@
 """Core expression types: exactness, evaluation, and relabelling."""
 
+import copy
+import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -231,3 +234,107 @@ def test_evaluate_is_linear(terms, scale):
     strat = DeterministicStrategy(((1, -1), (-1, 1)))
     assert evaluate(e.scaled(scale), strat) == scale * evaluate(e, strat)
     assert evaluate(e + e, strat) == 2 * evaluate(e, strat)
+
+
+# ---------------------------------------------------------------------------
+# the integer operations against per-coefficient Fraction oracles
+# ---------------------------------------------------------------------------
+
+
+def combine_oracle(terms):
+    columns = zip(*(expr.coeffs for _, expr in terms))
+    return [sum(Fraction(w) * c for (w, _), c in zip(terms, column)) for column in columns]
+
+
+def product_oracle(scenario, factors, scale):
+    return [
+        Fraction(scale) * math.prod(Fraction(factors[p][j]) for p, j in enumerate(idx))
+        for idx in scenario.index_tuples()
+    ]
+
+
+def permute_oracle(expr, order):
+    scenario = expr.scenario
+    new = Scenario(tuple(scenario.settings[p] for p in order))
+    coeffs = [Fraction(0)] * new.dimension
+    for idx, c in zip(scenario.index_tuples(), expr.coeffs):
+        coeffs[new.flat_index(tuple(idx[p] for p in order))] = c
+    return BellExpression(new, coeffs)
+
+
+def signed_map_oracle(expr, mapping):
+    scenario = expr.scenario
+    coeffs = [Fraction(0)] * scenario.dimension
+    for idx, c in zip(scenario.index_tuples(), expr.coeffs):
+        sign = math.prod(mapping.signs[p][j] for p, j in enumerate(idx))
+        new_idx = [mapping.permutations[p][j] for p, j in enumerate(idx)]
+        coeffs[scenario.flat_index(new_idx)] = sign * c
+    return BellExpression(scenario, coeffs)
+
+
+# small rationals, numerators beyond int64 (the object-array fallback), ints,
+# and 'p/q' strings with a common factor left in
+rational_st = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**40)),
+    st.integers(-5, 5),
+    st.builds(
+        lambda f, k: f"{f.numerator * k}/{f.denominator * k}",
+        st.fractions(min_value=-3, max_value=3, max_denominator=8),
+        st.integers(2, 6),
+    ),
+)
+
+
+def test_the_stored_form_is_reduced():
+    half = BellExpression(TWO, ["2/4", 0, 0, "-6/4"])
+    assert (half.numerators, half.denominator) == ((1, 0, 0, -3), 2)
+    assert half == BellExpression(TWO, [Fraction(1, 2), 0, 0, Fraction(-3, 2)])
+    assert hash(half) == hash(BellExpression(TWO, ["1/2", 0, 0, "-3/2"]))
+    assert (half + half).denominator == 1 and (half - half).numerators == (0,) * 4
+    assert BellExpression.zero(TWO).denominator == 1
+    assert pickle.loads(pickle.dumps(half)) == half == copy.deepcopy(half)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_operations_match_the_fraction_oracles(data):
+    settings_ = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    scenario = Scenario(tuple(settings_))
+    dim = scenario.dimension
+    raws = [data.draw(st.lists(rational_st, min_size=dim, max_size=dim)) for _ in range(3)]
+    exprs = [BellExpression(scenario, raw) for raw in raws]
+    for raw, e in zip(raws, exprs):
+        assert e.coeffs == tuple(Fraction(r) for r in raw)
+        assert e.denominator > 0 and math.gcd(e.denominator, *e.numerators) == 1
+    weights = data.draw(st.lists(rational_st, min_size=1, max_size=3))
+    terms = list(zip(weights, exprs))
+    a, b = exprs[:2]
+    factors = [data.draw(st.lists(rational_st, min_size=m, max_size=m)) for m in settings_]
+    scale = data.draw(rational_st)
+    order = data.draw(st.permutations(range(len(settings_))))
+    mapping = SignedSettingMap(
+        [data.draw(st.permutations(range(m))) for m in settings_],
+        [data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m)) for m in settings_],
+    )
+    cases = [
+        (linear_combine(terms), BellExpression(scenario, combine_oracle(terms))),
+        (a + b, BellExpression(scenario, combine_oracle([(1, a), (1, b)]))),
+        (a - b, BellExpression(scenario, combine_oracle([(1, a), (-1, b)]))),
+        (-a, BellExpression(scenario, combine_oracle([(-1, a)]))),
+        (a.scaled(scale), BellExpression(scenario, combine_oracle([(scale, a)]))),
+        (
+            BellExpression.from_product(scenario, factors, scale),
+            BellExpression(scenario, product_oracle(scenario, factors, scale)),
+        ),
+        (permute_parties(a, order), permute_oracle(a, order)),
+        (apply_signed_setting_map(a, mapping), signed_map_oracle(a, mapping)),
+    ]
+    for got, want in cases:
+        assert got == want and hash(got) == hash(want)
+        assert (got.scenario, got.coeffs) == (want.scenario, want.coeffs)
+    strategy = DeterministicStrategy(
+        [data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m)) for m in settings_]
+    )
+    vertex = strategy.admissible_vector(scenario)
+    assert evaluate(a, strategy) == sum(c * v for c, v in zip(a.coeffs, vertex))

@@ -164,10 +164,15 @@ def test_tightness_sizes_the_saturating_rows_before_building_them(monkeypatch):
     one_term = expr(Scenario((7, 7, 7)), [((0, 0, 0), 1)])
     with pytest.raises(EnumerationCapExceeded, match="262144 saturating vertices"):
         tightness.__wrapped__(one_term)
+    # 4096 x 4096 is at the entry cap, but its rank takes 2^36 > 2^30 steps
+    with pytest.raises(EnumerationCapExceeded, match="4096 saturating vertices"):
+        tightness.__wrapped__(mabk(12))
     assert built == []
-    # 4096 saturating vertices x 4096 coordinates sit exactly at the cap
-    tightness.__wrapped__(mabk(12))
-    assert built == [4096]
+    # 2^18 saturating vertices x 64 coordinates sit exactly at both caps, and
+    # mabk(10)'s 1024 x 1024 exactly at the work cap
+    tightness.__wrapped__(expr(Scenario((16, 4)), [((0, 0), 1)]))
+    tightness.__wrapped__(mabk(10))
+    assert built == [2**18, 1024]
 
 
 @pytest.mark.parametrize(

@@ -449,6 +449,16 @@ def test_seesaw_ties_keep_the_earliest_restart():
     assert res.restarts == ((0.0, 1, True),) * 3
     initial = _initial_directions(cfg, 0, (2, 2))
     assert all(np.array_equal(a, b) for a, b in zip(res.settings.vectors, initial))
+    # ties within roundoff: all 50 restarts reach sqrt 2 on the Bell pair, so
+    # a 2.2e-16 change of rho must not move the winner off restart 0
+    rho = BELL.rho.copy()
+    rho[0, 0] += 2.2e-16
+    results = [seesaw_maximize(CHSH, state) for state in (BELL, make_state("custom", rho=rho))]
+    for res in results:
+        assert all(abs(v - math.sqrt(2)) < 1e-12 for v, _, _ in res.restarts)
+        assert res.value == res.restarts[0][0]
+    a, b = (res.settings.vectors for res in results)
+    assert all(np.allclose(x, y, rtol=0, atol=1e-9) for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize(
