@@ -5,9 +5,10 @@ all deterministic strategies.  Everything here is exact and stays in
 ``int``/``Fraction`` arithmetic: strategy values are integers over the
 expression's one denominator, the local-realistic maximum is returned as a
 Fraction, saturation means value exactly 1, ranks come from
-``rational_linalg`` (a full rank modulo a prime certifies a wide matrix,
-anything else falls back to the fraction-free elimination), and the facet
-enumeration is an integer double description whose rays never leave int64.
+``rational_linalg`` (a Gram matrix of full rank modulo a prime certifies a
+wide matrix, anything else falls back to the fraction-free elimination), and
+the facet enumeration is an integer double description whose rays never
+leave int64.
 
 Strategies are ordered lexicographically by their concatenated outcome bits
 (party-major, setting-major; bit 0 encodes outcome +1).  Flipping the
@@ -171,7 +172,7 @@ def tightness(expr: BellExpression) -> TightnessReport:
             f"{ENUMERATION_CAP} entries or {RANK_WORK_CAP} elimination steps"
         )
     vecs = _vertices(rows, saturating)
-    rank = integer_rank(vecs.tolist())
+    rank = integer_rank(vecs)
     valid = lr <= 1
     return TightnessReport(
         lr_max=lr,
@@ -191,13 +192,13 @@ def _initial_cone(rows: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     d = rows.shape[1]
     basis: list[int] = []
     for i in range(rows.shape[0]):
-        if integer_rank(rows[basis + [i]].tolist()) > len(basis):
+        if integer_rank(rows[basis + [i]]) > len(basis):
             basis.append(i)
             if len(basis) == d:
                 break
     rays = []
     for j in basis:
-        ray = np.array(integer_kernel_vector(rows[[k for k in basis if k != j]].tolist()))
+        ray = np.array(integer_kernel_vector(rows[[k for k in basis if k != j]]))
         rays.append(ray if rows[j] @ ray < 0 else -ray)
     full = sum(1 << k for k in basis)
     masks = np.array([full & ~(1 << j) for j in basis], dtype=np.uint64)

@@ -7,10 +7,15 @@ kernel back-substitution scales instead of dividing.  Pivots are chosen as
 the first nonzero entry in column order, which makes the computation
 deterministic for a given row order.
 
-A wide matrix's rank is first certified modulo the prime p = 2^31 - 1, by an
-int64 numpy elimination.  The rank over Q is at least the rank mod p, so
-when the latter reaches min(rows, columns) that is the exact rank; otherwise
-Bareiss decides.  Either way the rank returned is exact.
+The rank of a matrix A of more than 16 columns is first certified on the
+Gram matrix G of its short side (A^T A when A has more rows than columns,
+A A^T otherwise), eliminated modulo the prime p = 2^31 - 1 in int64.  Over
+Q, rank(G) = rank(A), and rank(G mod p) <= rank(G), so when G mod p reaches
+full rank min(rows, columns) that is the exact rank of A; otherwise Bareiss
+on A decides.  G is one float64 matmul while (long side) * max|a|^2 < 2^53:
+every partial sum is then an integer below 2^53, so the product is exact in
+any summation order.  Beyond that bound G is formed from Python ints.
+Either way the rank returned is exact.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 _P = 2**31 - 1  # prime; a product of two residues stays below 2^62
 _BAREISS_MAX_COLS = 16  # up to this width Bareiss beats the numpy elimination
+_FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> int:
@@ -59,10 +65,8 @@ def _eliminate(m: list[list[int]], ncols: int) -> int:
     return rank
 
 
-def _rank_mod_p(m: list[list[int]]) -> int:
-    """Rank over GF(p) of an integer matrix, never above its rank over Q."""
-    # reduce as Python ints first, so entries beyond int64 stay correct
-    a = (np.array(m, dtype=object) % _P).astype(np.int64)
+def _rank_mod_p(a: np.ndarray) -> int:
+    """Rank over GF(p) of an int64 array of residues in [0, p), eliminated in place."""
     nrows, ncols = a.shape
     rank = 0
     for col in range(ncols):
@@ -82,17 +86,44 @@ def _rank_mod_p(m: list[list[int]]) -> int:
     return rank
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank over Q of a matrix with integer entries."""
+def _gram_mod_p(a: np.ndarray) -> np.ndarray:
+    """Residues mod p of the short side's Gram matrix: a^T a if tall, a a^T if wide."""
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    peak = int(np.abs(a).max(initial=0))
+    if a.dtype == np.int64 and a.shape[0] * peak**2 < _FLOAT_EXACT:
+        f = a.astype(np.float64)
+        return (f.T @ f).astype(np.int64) % _P
+    g = a.astype(object)
+    return (g.T @ g % _P).astype(np.int64)
+
+
+def _matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """The rows as a 2-D array of exact integers: int64 where every entry
+    fits, Python ints otherwise.  Ragged rows are refused."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "i":
+        return rows.astype(np.int64, copy=False)
     m = [[int(x) for x in row] for row in rows]
-    ncols = len(m[0]) if m else 0
-    full = min(len(m), ncols)
-    if ncols > _BAREISS_MAX_COLS and _rank_mod_p(m) == full:
+    lengths = sorted({len(row) for row in m})
+    if len(lengths) > 1:
+        raise ValueError(f"ragged matrix: row lengths {lengths}")
+    shape = (len(m), lengths[0] if m else 0)
+    try:
+        return np.array(m, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.array(m, dtype=object).reshape(shape)
+
+
+def integer_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
+    """Exact rank over Q of a matrix with integer entries."""
+    a = _matrix(rows)
+    full = min(a.shape)
+    if a.shape[1] > _BAREISS_MAX_COLS and _rank_mod_p(_gram_mod_p(a)) == full:
         return full
-    return _eliminate(m, ncols)
+    return _eliminate(a.tolist(), a.shape[1])
 
 
-def integer_kernel_vector(rows: Sequence[Sequence[int]]) -> list[int]:
+def integer_kernel_vector(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
     """The primitive integer vector spanning the kernel of a corank-1 matrix.
 
     The matrix has integer entries and rank one less than its column count,
@@ -101,8 +132,8 @@ def integer_kernel_vector(rows: Sequence[Sequence[int]]) -> list[int]:
     integers by scaling the partial solution whenever a pivot does not
     divide.
     """
-    m = [[int(x) for x in row] for row in rows]
-    ncols = len(m[0]) if m else 0
+    a = _matrix(rows)
+    m, ncols = a.tolist(), a.shape[1]
     rank = _eliminate(m, ncols)
     if rank != ncols - 1:
         raise ValueError(f"kernel is not a line: rank {rank} with {ncols} columns")

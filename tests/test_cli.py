@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellift
 from bellift import Report, ReportRow, SeesawConfig, mabk, make_state, sum_squared_correlations
 from bellift.cli import _build_parser, main
 from bellift.documents import parse_expression, serialize_expression
@@ -339,10 +342,14 @@ def test_reproduce_out_accepts_numpy_bool_rows(capsys, monkeypatch, tmp_path):
 
 
 def test_console_script_is_installed():
+    # the child imports the same bellift as the tests, installed or not
+    src = str(Path(bellift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "bellift.cli", "mabk", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["settings"] == [2]

@@ -1,12 +1,13 @@
 """Fraction-free rank and kernel vectors against a floating oracle, and the
-modular rank certificate against Bareiss."""
+modular Gram-matrix rank certificate against Bareiss."""
 
 import math
+import re
 
 import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellift import rational_linalg
@@ -56,8 +57,22 @@ def test_kernel_vector_needs_corank_one():
         integer_kernel_vector([[1, 2, 3], [2, 4, 6]])  # rank 1, kernel is a plane
 
 
+@pytest.mark.parametrize(
+    "rows, lengths",
+    [
+        ([[1], [2, 3]], "[1, 2]"),
+        ([[1, 2], [3]], "[1, 2]"),
+        ([list(range(17)), list(range(16)), list(range(17))], "[16, 17]"),
+    ],
+)
+def test_ragged_rows_are_refused(rows, lengths):
+    for fn in (integer_rank, integer_kernel_vector):
+        with pytest.raises(ValueError, match=f"row lengths {re.escape(lengths)}"):
+            fn(rows)
+
+
 # ---------------------------------------------------------------------------
-# the modular certificate (more than 16 columns) and its Bareiss fallback
+# the modular Gram certificate (more than 16 columns) and its Bareiss fallback
 # ---------------------------------------------------------------------------
 
 
@@ -69,8 +84,11 @@ def _bareiss_rank(m) -> int:
 def test_full_rank_over_q_but_not_mod_p_falls_back():
     m = np.eye(17, dtype=np.int64)
     m[3, 3] = 2**31 - 1  # the modulus: this row vanishes mod p
-    assert rational_linalg._rank_mod_p(m.tolist()) == 16
+    assert rational_linalg._rank_mod_p(m % rational_linalg._P) == 16
     assert integer_rank(m.tolist()) == 17
+    tall = np.vstack([m, np.zeros((1, 17), dtype=np.int64)])  # Gram entry (3, 3) is p^2
+    assert rational_linalg._rank_mod_p(rational_linalg._gram_mod_p(tall)) == 16
+    assert integer_rank(tall) == 17
 
 
 def test_entries_beyond_int64_on_the_modular_side():
@@ -104,6 +122,44 @@ def test_rank_agrees_with_bareiss_on_both_sides_of_the_gate(
         assert rank < min(nrows, ncols)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(0, 12),
+    st.booleans(),
+    st.sampled_from(["under", "over", "beyond int64"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(17, 0, True, "over", False, 0)  # 17 * peak^2 is odd: float64 would round it
+@example(1, 2, False, "over", False, 0)
+@example(17, 0, True, "under", True, 0)
+def test_gram_route_agrees_with_bareiss(short, extra, tall, size, deficient, seed):
+    """Tall and wide matrices wider than 16 columns, with a column of peak
+    entries: long side * peak^2 just under 2^53 (float Gram), just over it
+    and beyond int64 (Python-int Gram)."""
+    long_side = max(short, 17) + extra + (not tall)  # a square matrix counts as tall
+    if tall:
+        short = max(short, 17)
+    under = math.isqrt((2**53 - 1) // long_side)
+    peak = {"under": under, "over": under + 1, "beyond int64": 10**30}[size]
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-3, 4, size=(long_side, short)).astype(object)
+    a[:, 0] = [peak * int(s) for s in rng.choice([-1, 1], size=long_side)]
+    if deficient and short > 1:
+        a[:, -1] = a[:, 0]
+    rows = (a if tall else a.T).tolist()
+    expected = _bareiss_rank(rows)
+    assert integer_rank(rows) == expected
+    if size != "beyond int64":
+        assert integer_rank(np.array(rows, dtype=np.int64)) == expected
+    if deficient and short > 1:
+        assert expected < short
+    gram = rational_linalg._gram_mod_p(rational_linalg._matrix(rows))
+    assert gram.dtype == np.int64
+    assert gram.tolist() == (a.T @ a % rational_linalg._P).tolist()  # has long_side * peak^2
+
+
 def test_narrow_matrices_stay_on_bareiss(monkeypatch):
     def unreachable(m):
         raise AssertionError("modular route taken at 16 columns")
@@ -114,13 +170,21 @@ def test_narrow_matrices_stay_on_bareiss(monkeypatch):
 
 def test_four_party_facet_is_certified_without_bareiss(monkeypatch):
     expr = four_party_19()
+    shapes = []
+    rank_mod_p = rational_linalg._rank_mod_p
 
     def unreachable(m, ncols):
         raise AssertionError("Bareiss fallback taken")
 
+    def recorded(a):
+        shapes.append(a.shape)
+        return rank_mod_p(a)
+
     monkeypatch.setattr(rational_linalg, "_eliminate", unreachable)
+    monkeypatch.setattr(rational_linalg, "_rank_mod_p", recorded)
     rep = tightness.__wrapped__(expr)
     assert (rep.rank, rep.saturating_count, rep.is_tight) == (81, 256, True)
+    assert shapes == [(81, 81)]  # the Gram matrix, not the 256 saturating rows
 
 
 def test_rank_deficient_saturating_rows_get_the_exact_rank():
