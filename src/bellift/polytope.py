@@ -5,10 +5,10 @@ all deterministic strategies.  Everything here is exact and stays in
 ``int``/``Fraction`` arithmetic: strategy values are integers over the
 expression's one denominator, the local-realistic maximum is returned as a
 Fraction, saturation means value exactly 1, ranks come from
-``rational_linalg`` (a Gram matrix of full rank modulo a prime certifies a
-wide matrix, anything else falls back to the fraction-free elimination), and
-the facet enumeration is an integer double description whose rays never
-leave int64.
+``rational_linalg`` (an integer inverse witness of a nonsingular Gram matrix
+certifies a wide matrix, anything else falls back to the fraction-free
+elimination), and the facet enumeration is an integer double description
+whose rays never leave int64.
 
 Strategies are ordered lexicographically by their concatenated outcome bits
 (party-major, setting-major; bit 0 encodes outcome +1).  Flipping the
@@ -171,16 +171,8 @@ def tightness(expr: BellExpression) -> TightnessReport:
             f"{count} saturating vertices x {cols} coordinates are over the cap of "
             f"{ENUMERATION_CAP} entries or {RANK_WORK_CAP} elimination steps"
         )
-    vecs = _vertices(rows, saturating)
-    rank = integer_rank(vecs)
-    valid = lr <= 1
-    return TightnessReport(
-        lr_max=lr,
-        saturating_count=vecs.shape[0],
-        rank=rank,
-        is_valid=valid,
-        is_tight=valid and rank == expr.scenario.dimension,
-    )
+    rank, valid = integer_rank(_vertices(rows, saturating)), lr <= 1
+    return TightnessReport(lr, count, rank, valid, is_tight=valid and rank == cols)
 
 
 def _initial_cone(rows: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:

@@ -1,8 +1,10 @@
 """Fraction-free rank and kernel vectors against a floating oracle, and the
-modular Gram-matrix rank certificate against Bareiss."""
+integer inverse witness of full rank against Bareiss."""
 
 import math
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellift import rational_linalg
-from bellift.lifting import four_party_19
+from bellift.lifting import four_party_19, mabk
 from bellift.polytope import distinct_vertices, tightness
 from bellift.rational_linalg import _eliminate, integer_kernel_vector, integer_rank
 
@@ -72,7 +74,7 @@ def test_ragged_rows_are_refused(rows, lengths):
 
 
 # ---------------------------------------------------------------------------
-# the modular Gram certificate (more than 16 columns) and its Bareiss fallback
+# the inverse witness (more than 16 columns) and its Bareiss fallback
 # ---------------------------------------------------------------------------
 
 
@@ -81,20 +83,26 @@ def _bareiss_rank(m) -> int:
     return _eliminate(rows, len(rows[0]) if rows else 0)
 
 
+def _unreachable(m, ncols):
+    raise AssertionError("Bareiss fallback taken")
+
+
 def test_full_rank_over_q_but_not_mod_p_falls_back():
+    """Full-rank matrices that the witness declines still get their exact rank."""
+    unimodular = np.eye(40, dtype=np.int64) + np.triu(np.full((40, 40), -2), 1)
+    assert abs(np.linalg.inv(unimodular.astype(float))).max() > 3.0**38  # 2 * 3^38
     m = np.eye(17, dtype=np.int64)
-    m[3, 3] = 2**31 - 1  # the modulus: this row vanishes mod p
-    assert rational_linalg._rank_mod_p(m % rational_linalg._P) == 16
-    assert integer_rank(m.tolist()) == 17
+    m[3, 3] = 2**31 - 1  # a p-entry: 17 * p^2 is past float64's exact range
     tall = np.vstack([m, np.zeros((1, 17), dtype=np.int64)])  # Gram entry (3, 3) is p^2
-    assert rational_linalg._rank_mod_p(rational_linalg._gram_mod_p(tall)) == 16
-    assert integer_rank(tall) == 17
+    for a, rank in ((unimodular, 40), (m, 17), (tall, 17)):
+        assert not rational_linalg._full_rank_witness(a)
+        assert integer_rank(a.tolist()) == integer_rank(a) == rank
 
 
 def test_entries_beyond_int64_on_the_modular_side():
     big = 10**30
     m = [[big * (i == j) for j in range(17)] for i in range(17)]
-    assert integer_rank(m + [[big] * 17]) == 17  # certified mod p
+    assert integer_rank(m + [[big] * 17]) == 17  # past float64: Bareiss
     m[5][5] = 0  # column 5 is now zero
     assert integer_rank(m + [[big * (j != 5) for j in range(17)]]) == 16  # fallback
 
@@ -155,36 +163,56 @@ def test_gram_route_agrees_with_bareiss(short, extra, tall, size, deficient, see
         assert integer_rank(np.array(rows, dtype=np.int64)) == expected
     if deficient and short > 1:
         assert expected < short
-    gram = rational_linalg._gram_mod_p(rational_linalg._matrix(rows))
-    assert gram.dtype == np.int64
-    assert gram.tolist() == (a.T @ a % rational_linalg._P).tolist()  # has long_side * peak^2
+    gram = rational_linalg._gram(rational_linalg._matrix(rows))
+    assert (gram is not None) == (size == "under")  # formed only below 2^53
+    if gram is not None:
+        assert gram.tolist() == (a.T @ a).tolist()  # exact, with an entry near 2^53
+
+
+@pytest.mark.parametrize("n, peak", [(17, 1), (17, 8), (18, 4)])
+def test_the_witness_spans_several_limbs(n, peak):
+    """peak * (I - strict upper ones) has a witness of ~2^47-2^50 entries,
+    past its low float64 limb of at most 2^39-2^45: it is checked in two."""
+    a = peak * (np.eye(n, dtype=np.int64) - np.triu(np.ones((n, n), dtype=np.int64), 1))
+    assert rational_linalg._full_rank_witness(a)
+    assert integer_rank(a) == n
+
+
+def test_int64_min_is_not_a_small_entry():
+    a = np.eye(17, dtype=np.int64)
+    a[0, 0] = -(2**63)  # np.abs leaves it negative
+    assert rational_linalg._gram(a) is None
+    assert integer_rank(a) == 17
 
 
 def test_narrow_matrices_stay_on_bareiss(monkeypatch):
-    def unreachable(m):
-        raise AssertionError("modular route taken at 16 columns")
+    def unreachable(a):
+        raise AssertionError("witness tried at 16 columns")
 
-    monkeypatch.setattr(rational_linalg, "_rank_mod_p", unreachable)
+    monkeypatch.setattr(rational_linalg, "_full_rank_witness", unreachable)
     assert integer_rank(np.eye(16, dtype=int).tolist()) == 16
 
 
 def test_four_party_facet_is_certified_without_bareiss(monkeypatch):
     expr = four_party_19()
     shapes = []
-    rank_mod_p = rational_linalg._rank_mod_p
-
-    def unreachable(m, ncols):
-        raise AssertionError("Bareiss fallback taken")
+    witness = rational_linalg._full_rank_witness
 
     def recorded(a):
         shapes.append(a.shape)
-        return rank_mod_p(a)
+        return witness(a)
 
-    monkeypatch.setattr(rational_linalg, "_eliminate", unreachable)
-    monkeypatch.setattr(rational_linalg, "_rank_mod_p", recorded)
+    monkeypatch.setattr(rational_linalg, "_eliminate", _unreachable)
+    monkeypatch.setattr(rational_linalg, "_full_rank_witness", recorded)
     rep = tightness.__wrapped__(expr)
     assert (rep.rank, rep.saturating_count, rep.is_tight) == (81, 256, True)
-    assert shapes == [(81, 81)]  # the Gram matrix, not the 256 saturating rows
+    assert shapes == [(256, 81)]  # one witness for the saturating rows
+
+
+def test_mabk9_is_certified_without_bareiss(monkeypatch):
+    monkeypatch.setattr(rational_linalg, "_eliminate", _unreachable)
+    rep = tightness.__wrapped__(mabk(9))
+    assert (rep.rank, rep.saturating_count, rep.is_tight) == (512, 512, True)
 
 
 def test_rank_deficient_saturating_rows_get_the_exact_rank():
@@ -194,3 +222,42 @@ def test_rank_deficient_saturating_rows_get_the_exact_rank():
     assert sat.shape == (256, 81)
     sat[:, 40] = 0
     assert integer_rank(sat.tolist()) == _bareiss_rank(sat) == 80
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(17, 120),
+    st.integers(0, 20),
+    st.booleans(),
+    st.sampled_from([None, "product", "duplicate", "zero"]),
+    st.sampled_from([1, 5]),
+    st.integers(0, 2**32 - 1),
+)
+@example(12, 8, False, "product", 1, 0)  # 12 x 20, rank below 12
+@example(17, 0, True, "duplicate", 5, 0)
+@example(120, 0, False, "zero", 5, 0)
+def test_the_witness_never_certifies_a_deficient_rank(
+    short, extra, tall, deficiency, peak, seed
+):
+    """Entries +-1 or +-peak: the witness stays silent on rank-deficient
+    matrices, and on full-rank ones integer_rank agrees with Bareiss."""
+    rng = np.random.default_rng(seed)
+    shape = (short + extra, short)
+    a = rng.choice([-peak, -1, 1, peak], size=shape)
+    if deficiency == "product":  # through a narrower inner dimension
+        inner = int(rng.integers(0, short))
+        a = a[:, :inner] @ rng.choice([-peak, -1, 1, peak], size=(inner, short))
+    elif deficiency == "duplicate":
+        a[:, -1] = a[:, rng.integers(short - 1)]
+    elif deficiency == "zero":
+        a[:, rng.integers(short)] = 0
+    a = a.astype(np.int64) if tall else a.T.astype(np.int64)
+    if deficiency is None:
+        assert integer_rank(a) == _bareiss_rank(a)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not rational_linalg._full_rank_witness(a)
+        # nor with a modest, finite proposal: the integer check alone refuses it
+        with mock.patch.object(np.linalg, "inv", np.linalg.pinv):
+            assert not rational_linalg._full_rank_witness(a)
