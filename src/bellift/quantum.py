@@ -61,6 +61,8 @@ class QuantumState:
     def __post_init__(self) -> None:
         _check_qubit_count(self.n)
         rho = np.asarray(self.rho, dtype=np.complex128)
+        if not np.isfinite(rho).all():  # NaN would pass every comparison below
+            raise ValueError("density matrix has a non-finite entry")
         dim = 2**self.n
         if rho.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix for {self.n} qubits")
@@ -220,31 +222,30 @@ class MeasurementSettings:
 
 
 def bell_operator(expr: BellExpression, settings: MeasurementSettings) -> np.ndarray:
-    """The Hermitian operator of the expression at the given directions."""
+    """The Hermitian operator of the expression at the given directions.
+
+    One ``tensordot`` per party contracts the coefficients with its (m_p, 2, 2)
+    observables, most settings first so no intermediate outgrows both them and
+    the operator; one transpose then puts the row bits before the column bits.
+    """
     scenario = expr.scenario
     _check_qubit_count(scenario.parties)
     if not settings.matches(scenario):
         raise ValueError(f"settings shape does not match scenario {scenario}")
     n = scenario.parties
-    dim = 2**n
-    observables = [
-        np.einsum("ji,ikl->jkl", party, PAULIS) for party in settings.vectors
-    ]
-    op = np.zeros((dim, dim), dtype=np.complex128)
-    for idx, c in expr.terms():
-        term = observables[0][idx[0]]
-        for p in range(1, n):
-            term = np.kron(term, observables[p][idx[p]])
-        op += float(c) * term
-    return op
+    order = sorted(range(n), key=lambda p: -scenario.settings[p])
+    op = _coefficient_tensor(expr).transpose(order)
+    for p in order:
+        op = np.tensordot(op, np.tensordot(settings.vectors[p], PAULIS, 1), (0, 0))
+    at = 2 * np.argsort(order)  # party p's row axis
+    return op.transpose([*at, *at + 1]).reshape(2**n, 2**n)
 
 
 def expectation(
     expr: BellExpression, settings: MeasurementSettings, state: QuantumState
 ) -> float:
     """Tr(rho B) for the Bell operator at the given settings."""
-    op = bell_operator(expr, settings)
-    return float(np.trace(state.rho @ op).real)
+    return float(np.vdot(bell_operator(expr, settings), state.rho).real)  # B is Hermitian
 
 
 @dataclass(frozen=True)
@@ -262,6 +263,8 @@ class Spectrum:
 def spectrum(operator: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
     """Eigenvalues of a Hermitian operator, grouped by near-degeneracy."""
     op = np.asarray(operator, dtype=np.complex128)
+    if not np.isfinite(op).all():
+        raise ValueError("operator has a non-finite entry")
     if np.abs(op - op.conj().T).max() > _HERMITICITY_TOL:
         raise ValueError("operator is not Hermitian")
     eigs = np.linalg.eigvalsh(op)[::-1]
@@ -319,6 +322,11 @@ def sum_squared_correlations(state: QuantumState) -> float:
     return float(np.sum(t.values**2))
 
 
+def _coefficient_tensor(expr: BellExpression) -> np.ndarray:
+    """The coefficients over the setting axes, each rounded once like ``float(Fraction)``."""
+    return np.reshape([c / expr.denominator for c in expr.numerators], expr.scenario.settings)
+
+
 def contract_coefficients(expr: BellExpression, settings: MeasurementSettings) -> np.ndarray:
     """Coefficients of the expression as a tensor over the Pauli axes.
 
@@ -329,8 +337,7 @@ def contract_coefficients(expr: BellExpression, settings: MeasurementSettings) -
     if not settings.matches(scenario):
         raise ValueError(f"settings shape does not match scenario {scenario}")
     n = scenario.parties
-    coeffs = np.reshape([c / expr.denominator for c in expr.numerators], scenario.settings)
-    operands: list = [coeffs, list(range(n))]
+    operands: list = [_coefficient_tensor(expr), list(range(n))]
     out = []
     for p, vecs in enumerate(settings.vectors):
         operands.extend([vecs, [p, n + p]])
@@ -397,12 +404,13 @@ def seesaw_maximize(
     until its improvement drops below ``tol`` or ``max_sweeps`` is hit; the
     search starts ``restarts`` times from random directions, each drawn from
     its own RNG split from the master seed.  The restarts run as one batch:
-    values and gradients both come from contracting the kernel
-    ``coeffs x T`` (each party's setting and Pauli axes fused into one) with
-    the other parties' directions, and a restart leaves the batch once it
-    stops.  The earliest restart within ``_SEESAW_TIE_ROUNDOFF`` of the best
-    value wins.  This is a heuristic for the true quantum maximum:
-    values are certified lower bounds only.
+    a gradient is one contraction of the kernel ``coeffs x T`` (each party's
+    setting and Pauli axes fused into one) with the other parties' directions,
+    and the value is <W, u> of a gradient and its party's directions (party 0
+    before the first sweep, the last party after each); a restart leaves the
+    batch once it stops.  The earliest restart within ``_SEESAW_TIE_ROUNDOFF``
+    of the best value wins.  This is a heuristic for the true quantum
+    maximum: values are certified lower bounds only.
     """
     cfg = config or SeesawConfig()
     scenario = expr.scenario
@@ -424,39 +432,32 @@ def seesaw_maximize(
     scale = Fraction(1) / bound
     if scale != 1:
         logger.info("rescaling expression by %s to normalize lr_max to 1", scale)
-    normed = expr.scaled(scale)  # Python-int true division rounds as float(Fraction) does
-    coeffs = np.reshape([c / normed.denominator for c in normed.numerators], scenario.settings)
+    coeffs = _coefficient_tensor(expr.scaled(scale))
     corr = correlation_tensor(state).values
     # kernel[(j_0, i_0), ..., (j_n-1, i_n-1)] = coeffs[j_0, ...] * corr[i_0, ...]
     fused = [ax for p in range(n) for ax in (p, n + p)]
     kernel = np.multiply.outer(coeffs, corr).transpose(fused).reshape(dims)
     # kernels[p] has party p's axis first, so the others contract from the end
-    kernels = {None: kernel}
-    kernels.update((p, np.ascontiguousarray(np.moveaxis(kernel, p, 0))) for p in range(n))
+    kernels = [np.ascontiguousarray(np.moveaxis(kernel, p, 0)) for p in range(n)]
 
-    def contract(units: list[np.ndarray], skip: int | None) -> np.ndarray:
-        """The kernel contracted with every party's directions but ``skip``'s.
-
-        ``units[q]`` has shape (batch, m_q, 3); the result has shape
-        (batch, 3 m_skip), or (batch, 1) holding the values when ``skip`` is
-        None.
-        """
-        t = kernels[skip]
-        batch = len(units[0])
-        others = [q for q in range(n) if q != skip]
+    def gradient(units: list[np.ndarray], p: int) -> np.ndarray:
+        """The kernel contracted with all directions but party p's: shape (batch, m_p, 3)."""
+        t = kernels[p]
+        batch, shape = len(units[0]), units[p].shape
+        others = [q for q in range(n) if q != p]
         if not others:
-            return np.broadcast_to(t, (batch, t.size))
+            return np.broadcast_to(t.reshape(shape[1:]), shape)
         q = others.pop()
         t = units[q].reshape(batch, -1) @ t.reshape(-1, dims[q]).T
         for q in reversed(others):
             t = np.matmul(t.reshape(batch, -1, dims[q]), units[q].reshape(batch, -1, 1))
-        return t.reshape(batch, -1)
+        return t.reshape(shape)
 
     restarts = cfg.restarts
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(restarts)]
     draws = [[_random_directions(rng, m) for m in scenario.settings] for rng in rngs]
     final = [np.stack([d[p] for d in draws]) for p in range(n)]
-    history = [contract(final, None)[:, 0]]  # history[s][r]: restart r after s sweeps
+    history = [(gradient(final, 0) * final[0]).sum(axis=(1, 2))]  # [s][r]: restart r after s sweeps
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     active = np.arange(restarts)
@@ -465,12 +466,11 @@ def seesaw_maximize(
         if not active.size:
             break
         for p in range(n):
-            w = contract(units, p).reshape(units[p].shape)
-            norms = np.linalg.norm(w, axis=2, keepdims=True)
-            keep = norms == 0.0
-            units[p] = np.where(keep, units[p], w / np.where(keep, 1.0, norms))
+            w = gradient(units, p)
+            norms = np.sqrt(np.add.reduce(w * w, axis=2, keepdims=True))
+            np.divide(w, norms, out=units[p], where=norms != 0)  # W = 0 keeps the direction
         values = history[-1].copy()
-        values[active] = contract(units, None)[:, 0]
+        values[active] = (w * units[-1]).sum(axis=(1, 2))  # <W, u> of the last party
         history.append(values)
         done = values[active] - history[-2][active] < cfg.tol
         converged[active[done]] = True

@@ -55,6 +55,16 @@ def test_state_validation():
         QuantumState(1, np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [np.diag([math.nan, 1, 0, 0]), np.full((4, 4), math.nan), np.diag([math.inf, 0, 0, 0])],
+)
+def test_state_refuses_non_finite_entries(rho):
+    # NaN fails every ">" check; a state that kept it would reach the see-saw's tie rule
+    with pytest.raises(ValueError, match="non-finite"):
+        make_state("custom", rho=rho)
+
+
 def test_named_states_are_valid_density_matrices():
     for name in ["ghz4", "bell-pair", "w4", "pdc", "chi", "cluster4"]:
         state = make_state(name)
@@ -219,6 +229,46 @@ def test_bell_operator_zz():
     assert np.allclose(op, np.diag([1, -1, -1, 1]))
 
 
+def _bell_operator_oracle(expr, settings):
+    """The Bell operator as a sum over the nonzero terms of Kronecker products."""
+    observables = [np.einsum("ji,ikl->jkl", party, PAULIS) for party in settings.vectors]
+    dim = 2**expr.scenario.parties
+    op = np.zeros((dim, dim), dtype=np.complex128)
+    for idx, c in expr.terms():
+        op += float(c) * kron_chain([observables[p][j] for p, j in enumerate(idx)])
+    return op
+
+
+@pytest.mark.parametrize("settings", [(1,), (2, 3), (3, 2, 1), (1, 3, 2, 2), (3, 3, 3, 3)])
+def test_bell_operator_matches_the_kron_oracle(settings):
+    # random directions and unequal setting counts see a slip in bit or party order
+    rng = np.random.default_rng(sum(settings))
+    scenario = Scenario(settings)
+    nums = rng.integers(-9, 10, size=scenario.dimension)
+    dens = rng.integers(1, 8, size=scenario.dimension)
+    expr = BellExpression(scenario, [Fraction(int(a), int(b)) for a, b in zip(nums, dens)])
+    vecs = [rng.normal(size=(m, 3)) for m in settings]
+    dirs = MeasurementSettings(tuple(v / np.linalg.norm(v, axis=1, keepdims=True) for v in vecs))
+    op = bell_operator(expr, dirs)
+    assert np.abs(op - _bell_operator_oracle(expr, dirs)).max() <= 1e-12
+
+
+def test_bell_operator_intermediates_stay_within_its_inputs_and_output(monkeypatch):
+    # parties with one setting first would grow 16 coefficients to 16 * 4^3 entries
+    sizes, tensordot = [], np.tensordot
+
+    def recording(*args, **kwargs):
+        out = tensordot(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "tensordot", recording)
+    expr = BellExpression(Scenario((1, 1, 1, 16)), range(16))
+    dirs = MeasurementSettings(tuple(np.tile([0.0, 0.0, 1.0], (m, 1)) for m in (1, 1, 1, 16)))
+    op = bell_operator(expr, dirs)
+    assert op.shape == (16, 16) and max(sizes) == op.size
+
+
 def test_bell_operator_rejects_mismatched_settings():
     with pytest.raises(ValueError):
         bell_operator(CHSH, z_settings(2, 3))
@@ -237,6 +287,8 @@ def test_spectrum_grouping_and_checks():
     assert spec.eigenvalues[0] >= spec.eigenvalues[-1]
     with pytest.raises(ValueError):
         spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        spectrum(np.diag([math.nan, 1.0]))  # eigvalsh would return NaN eigenvalues
     assert spectrum(np.zeros((4, 4))).groups == ((0.0, 4),)
 
 
@@ -412,6 +464,20 @@ def test_seesaw_batch_matches_the_per_restart_oracle(name):
         assert res.value == res.restarts[winner][0]
         assert res.converged == oracle[winner][2]
         assert np.allclose(res.trace, oracle[winner][3], rtol=0, atol=1e-12)
+
+
+def test_seesaw_values_at_the_sweep_cap_match_the_oracle():
+    # the value <W, u> after a sweep must hold for restarts that stop unconverged
+    fp, state = four_party_19(), make_state("pdc")
+    cfg = SeesawConfig(restarts=4, max_sweeps=20)
+    res = seesaw_maximize(fp, state, cfg)
+    assert not all(c for _, _, c in res.restarts)
+    for (value, sweeps, converged), (ref, ref_sweeps, ref_converged, _) in zip(
+        res.restarts, _seesaw_oracle(fp, state, cfg)
+    ):
+        assert abs(value - ref) < 1e-12
+        assert (sweeps, converged) == (ref_sweeps, ref_converged)
+    assert abs(res.value - expectation(fp.scaled(res.scale), res.settings, state)) < 1e-12
 
 
 def test_seesaw_restarts_report_every_outcome():
