@@ -83,8 +83,8 @@ class QuantumState:
             raise ValueError("ket length must be a power of two")
         _check_qubit_count(n)
         norm = np.linalg.norm(ket)
-        if norm < 1e-12:
-            raise ValueError("cannot normalize the zero vector")
+        if not (np.isfinite(ket).all() and norm >= 1e-12):  # refused before dividing
+            raise ValueError("cannot normalize a zero or non-finite ket")
         ket = ket / norm
         return cls(n, np.outer(ket, ket.conj()))
 
@@ -224,21 +224,16 @@ class MeasurementSettings:
 def bell_operator(expr: BellExpression, settings: MeasurementSettings) -> np.ndarray:
     """The Hermitian operator of the expression at the given directions.
 
-    One ``tensordot`` per party contracts the coefficients with its (m_p, 2, 2)
-    observables, most settings first so no intermediate outgrows both them and
-    the operator; one transpose then puts the row bits before the column bits.
+    The coefficients contract with each party's (m_p, 2, 2) observables in
+    ``_contract_parties``, the contraction that also gives T and alpha-tilde;
+    it returns the row axes before the column axes, so one reshape gives B.
     """
-    scenario = expr.scenario
-    _check_qubit_count(scenario.parties)
-    if not settings.matches(scenario):
-        raise ValueError(f"settings shape does not match scenario {scenario}")
-    n = scenario.parties
-    order = sorted(range(n), key=lambda p: -scenario.settings[p])
-    op = _coefficient_tensor(expr).transpose(order)
-    for p in order:
-        op = np.tensordot(op, np.tensordot(settings.vectors[p], PAULIS, 1), (0, 0))
-    at = 2 * np.argsort(order)  # party p's row axis
-    return op.transpose([*at, *at + 1]).reshape(2**n, 2**n)
+    _check_qubit_count(expr.scenario.parties)
+    if not settings.matches(expr.scenario):
+        raise ValueError(f"settings shape does not match scenario {expr.scenario}")
+    observables = [np.tensordot(vecs, PAULIS, 1) for vecs in settings.vectors]
+    op = _contract_parties(_coefficient_tensor(expr), observables)
+    return op.reshape((2**expr.scenario.parties,) * 2)
 
 
 def expectation(
@@ -303,14 +298,11 @@ class CorrelationTensor:
 def correlation_tensor(state: QuantumState) -> CorrelationTensor:
     """Expectation values Tr(rho sigma_i1 ... sigma_in) over the Paulis."""
     n = state.n
-    rho_t = state.rho.reshape((2,) * (2 * n))
-    operands: list = [rho_t, list(range(2 * n))]
-    out = []
-    for p in range(n):
-        # Tr(rho X) contracts rho[a, b] with X[b, a]
-        operands.extend([PAULIS, [2 * n + p, n + p, p]])
-        out.append(2 * n + p)
-    values = np.einsum(*operands, out)
+    # one axis of length 4 per party: its (row, column) bits of rho
+    bits = [a for p in range(n) for a in (p, n + p)]
+    rho = state.rho.reshape((2,) * (2 * n)).transpose(bits).reshape((4,) * n)
+    # Tr(rho X) contracts rho[a, b] with X[b, a]
+    values = _contract_parties(rho, [PAULIS.transpose(2, 1, 0).reshape(4, 3)] * n)
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("correlation tensor came out complex; state invalid?")
     return CorrelationTensor(n, values.real)
@@ -318,8 +310,7 @@ def correlation_tensor(state: QuantumState) -> CorrelationTensor:
 
 def sum_squared_correlations(state: QuantumState) -> float:
     """Sum of squared correlation-tensor entries (local-unitary invariant)."""
-    t = correlation_tensor(state)
-    return float(np.sum(t.values**2))
+    return float(np.sum(correlation_tensor(state).values ** 2))
 
 
 def _coefficient_tensor(expr: BellExpression) -> np.ndarray:
@@ -333,16 +324,24 @@ def contract_coefficients(expr: BellExpression, settings: MeasurementSettings) -
     The returned alpha-tilde satisfies ``<T, alpha-tilde> = Tr(rho B)`` for
     every state, where T is the correlation tensor.
     """
-    scenario = expr.scenario
-    if not settings.matches(scenario):
-        raise ValueError(f"settings shape does not match scenario {scenario}")
-    n = scenario.parties
-    operands: list = [_coefficient_tensor(expr), list(range(n))]
-    out = []
-    for p, vecs in enumerate(settings.vectors):
-        operands.extend([vecs, [p, n + p]])
-        out.append(n + p)
-    return np.einsum(*operands, out)
+    if not settings.matches(expr.scenario):
+        raise ValueError(f"settings shape does not match scenario {expr.scenario}")
+    return _contract_parties(_coefficient_tensor(expr), settings.vectors)
+
+
+def _contract_parties(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract axis p of ``tensor`` with the first axis of ``mats[p]`` for every p.
+
+    One ``tensordot`` per party, those that shrink the tensor most first, so no
+    intermediate outgrows both the input and the result.  The result holds each
+    party's second matrix axis in party order, then each party's third.
+    """
+    order = sorted(range(len(mats)), key=lambda p: mats[p][0].size / len(mats[p]))
+    out = tensor.transpose(order)
+    for p in order:
+        out = np.tensordot(out, mats[p], (0, 0))
+    width = mats[0].ndim - 1 if mats else 0  # matrix axes left per party
+    return out.transpose([width * i + k for k in range(width) for i in np.argsort(order)])
 
 
 # ---------------------------------------------------------------------------

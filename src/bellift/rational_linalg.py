@@ -27,18 +27,17 @@ _FLOAT_EXACT = 2**53  # float64 holds every integer up to this exactly
 _INT64_ROOM = 2**62  # int64 bound on the witness's entries: half its range
 
 
-def _eliminate(m: list[list[int]], ncols: int) -> int:
+def _eliminate(m: list[list[int]]) -> int:
     """Bareiss forward elimination of ``m`` in place; return the rank.
 
-    Pivots are taken from the first ``ncols`` columns only; columns past them
-    (an augmented right-hand side) are carried along.  Afterwards row i < rank
-    holds the integer triangle: its pivot is the first nonzero entry.
+    Afterwards row i < rank holds the integer triangle: its pivot is the
+    first nonzero entry.
     """
     nrows = len(m)
     width = len(m[0]) if m else 0
     rank = 0
     prev_pivot = 1
-    for col in range(ncols):
+    for col in range(width):
         if rank >= nrows:
             break
         pivot_row = next((i for i in range(rank, nrows) if m[i][col]), None)
@@ -126,7 +125,7 @@ def integer_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
     full = min(a.shape)
     if a.shape[1] > _BAREISS_MAX_COLS and _full_rank_witness(a):
         return full
-    return _eliminate(a.tolist(), a.shape[1])
+    return _eliminate(a.tolist())
 
 
 def integer_kernel_vector(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
@@ -140,7 +139,7 @@ def integer_kernel_vector(rows: Sequence[Sequence[int]] | np.ndarray) -> list[in
     """
     a = _matrix(rows)
     m, ncols = a.tolist(), a.shape[1]
-    rank = _eliminate(m, ncols)
+    rank = _eliminate(m)
     if rank != ncols - 1:
         raise ValueError(f"kernel is not a line: rank {rank} with {ncols} columns")
     pivots = [next(k for k, x in enumerate(m[i]) if x) for i in range(rank)]

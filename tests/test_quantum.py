@@ -1,6 +1,7 @@
 """States, operators, correlation tensors, and the see-saw optimizer."""
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -81,6 +82,22 @@ def test_make_state_domain_errors():
         make_state("ghz")
     with pytest.raises(ValueError):
         make_state("custom")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_from_ket_refuses_non_finite_amplitudes_before_dividing(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a division by a NaN norm would warn first
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantumState.from_ket([bad, 1])
+
+
+@pytest.mark.parametrize(
+    "state", [make_state("custom", rho=[[1.0]]), QuantumState.from_ket([1])], ids=["rho", "ket"]
+)
+def test_zero_qubit_state_has_unit_correlation(state):
+    assert state.n == 0
+    assert correlation_tensor(state).values == 1.0
 
 
 def test_state_size_caps_refuse_before_allocating():
@@ -164,6 +181,49 @@ def test_generalized_ghz_endpoints():
 # ---------------------------------------------------------------------------
 
 
+def _correlation_tensor_oracle(state):
+    """Tr(rho sigma_i1 ... sigma_in) as one einsum over all bits at once."""
+    n = state.n
+    operands = [state.rho.reshape((2,) * (2 * n)), list(range(2 * n))]
+    for p in range(n):  # Tr(rho X) contracts rho[a, b] with X[b, a]
+        operands.extend([PAULIS, [2 * n + p, n + p, p]])
+    return np.einsum(*operands, list(range(2 * n, 3 * n))).real
+
+
+def _random_mixed_state(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    kets = rng.normal(size=(rank, 2**n)) + 1j * rng.normal(size=(rank, 2**n))
+    rho = kets.T @ kets.conj()
+    return make_state("custom", rho=rho / np.trace(rho).real)
+
+
+ORACLE_STATES = {
+    "ghz1": make_state("ghz", 1),
+    "bell-pair": make_state("bell-pair"),
+    "ghz3": make_state("ghz", 3),
+    "w4": make_state("w4"),
+    "pdc": make_state("pdc"),
+    "cluster4": make_state("cluster4"),
+    "generalized-ghz": make_state("generalized-ghz", 0.3),
+    "mixed3": _random_mixed_state(3, 2, seed=7),
+    "mixed5": _random_mixed_state(5, 3, seed=8),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_STATES)
+def test_correlation_tensor_matches_the_einsum_oracle(name):
+    state = ORACLE_STATES[name]
+    tensor = correlation_tensor(state).values
+    assert np.abs(tensor - _correlation_tensor_oracle(state)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ghz_sum_squared_correlations_closed_form(n):
+    # 2^(n-1) x/y products of +-1 with an even count of y, plus z^n on even n
+    expected = 2 ** (n - 1) + (n % 2 == 0)
+    assert abs(sum_squared_correlations(make_state("ghz", n)) - expected) < 1e-9
+
+
 def test_correlation_tensor_against_kron_oracle():
     """Recompute every entry with explicit Kronecker products and traces."""
     for name in ["w4", "cluster4"]:
@@ -239,9 +299,21 @@ def _bell_operator_oracle(expr, settings):
     return op
 
 
-@pytest.mark.parametrize("settings", [(1,), (2, 3), (3, 2, 1), (1, 3, 2, 2), (3, 3, 3, 3)])
-def test_bell_operator_matches_the_kron_oracle(settings):
-    # random directions and unequal setting counts see a slip in bit or party order
+def _contract_coefficients_oracle(expr, settings):
+    """alpha-tilde as one einsum of the coefficients with every party's directions."""
+    n = expr.scenario.parties
+    coeffs = np.array([float(c) for c in expr.coeffs]).reshape(expr.scenario.settings)
+    operands = [coeffs, list(range(n))]
+    for p, vecs in enumerate(settings.vectors):
+        operands.extend([vecs, [p, n + p]])
+    return np.einsum(*operands, list(range(n, 2 * n)))
+
+
+ORACLE_SCENARIOS = [(1,), (2, 3), (3, 2, 1), (1, 3, 2, 2), (3, 3, 3, 3)]
+
+
+def _random_case(settings):
+    """A random rational expression and random directions on the scenario."""
     rng = np.random.default_rng(sum(settings))
     scenario = Scenario(settings)
     nums = rng.integers(-9, 10, size=scenario.dimension)
@@ -249,12 +321,27 @@ def test_bell_operator_matches_the_kron_oracle(settings):
     expr = BellExpression(scenario, [Fraction(int(a), int(b)) for a, b in zip(nums, dens)])
     vecs = [rng.normal(size=(m, 3)) for m in settings]
     dirs = MeasurementSettings(tuple(v / np.linalg.norm(v, axis=1, keepdims=True) for v in vecs))
+    return expr, dirs
+
+
+@pytest.mark.parametrize("settings", ORACLE_SCENARIOS)
+def test_bell_operator_matches_the_kron_oracle(settings):
+    # random directions and unequal setting counts see a slip in bit or party order
+    expr, dirs = _random_case(settings)
     op = bell_operator(expr, dirs)
     assert np.abs(op - _bell_operator_oracle(expr, dirs)).max() <= 1e-12
 
 
-def test_bell_operator_intermediates_stay_within_its_inputs_and_output(monkeypatch):
-    # parties with one setting first would grow 16 coefficients to 16 * 4^3 entries
+@pytest.mark.parametrize("settings", ORACLE_SCENARIOS)
+def test_contract_coefficients_matches_the_einsum_oracle(settings):
+    expr, dirs = _random_case(settings)
+    alpha = contract_coefficients(expr, dirs)
+    assert alpha.shape == (3,) * len(settings)
+    assert np.abs(alpha - _contract_coefficients_oracle(expr, dirs)).max() <= 1e-12
+
+
+def _record_tensordot_sizes(monkeypatch):
+    """The size of every ``np.tensordot`` result from now on, in call order."""
     sizes, tensordot = [], np.tensordot
 
     def recording(*args, **kwargs):
@@ -263,10 +350,37 @@ def test_bell_operator_intermediates_stay_within_its_inputs_and_output(monkeypat
         return out
 
     monkeypatch.setattr(np, "tensordot", recording)
+    return sizes
+
+
+def test_bell_operator_intermediates_stay_within_its_inputs_and_output(monkeypatch):
+    # parties with one setting first would grow 16 coefficients to 16 * 4^3 entries
+    sizes = _record_tensordot_sizes(monkeypatch)
     expr = BellExpression(Scenario((1, 1, 1, 16)), range(16))
     dirs = MeasurementSettings(tuple(np.tile([0.0, 0.0, 1.0], (m, 1)) for m in (1, 1, 1, 16)))
     op = bell_operator(expr, dirs)
     assert op.shape == (16, 16) and max(sizes) == op.size
+
+
+@pytest.mark.parametrize("settings", [(1, 1, 1, 16), (16, 1, 1, 1)])
+def test_contract_coefficients_intermediates_stay_within_its_inputs_and_output(
+    monkeypatch, settings
+):
+    # in party order (1, 1, 1, 16) would grow 16 coefficients to 16 * 3^3 entries
+    expr = BellExpression(Scenario(settings), range(16))
+    dirs = MeasurementSettings(tuple(np.tile([0.0, 0.0, 1.0], (m, 1)) for m in settings))
+    sizes = _record_tensordot_sizes(monkeypatch)
+    alpha = contract_coefficients(expr, dirs)
+    assert alpha.shape == (3,) * 4 and len(sizes) == 4 and max(sizes) == alpha.size
+    assert alpha[2, 2, 2, 2] == sum(range(16))
+
+
+def test_correlation_tensor_intermediates_shrink(monkeypatch):
+    state = make_state("ghz", 6)
+    sizes = _record_tensordot_sizes(monkeypatch)
+    tensor = correlation_tensor(state).values
+    assert sizes == [4 ** (6 - k) * 3**k for k in range(1, 7)]  # each party 4 -> 3
+    assert abs(tensor[(2,) * 6] - 1.0) < 1e-12
 
 
 def test_bell_operator_rejects_mismatched_settings():

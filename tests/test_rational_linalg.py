@@ -80,10 +80,10 @@ def test_ragged_rows_are_refused(rows, lengths):
 
 def _bareiss_rank(m) -> int:
     rows = [[int(x) for x in row] for row in m]
-    return _eliminate(rows, len(rows[0]) if rows else 0)
+    return _eliminate(rows)
 
 
-def _unreachable(m, ncols):
+def _unreachable(m):
     raise AssertionError("Bareiss fallback taken")
 
 
