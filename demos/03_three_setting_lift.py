@@ -11,7 +11,6 @@ exactly, and the output is certified as a facet: local bound 1 over all
 from bellift import (
     compatibility_holds,
     four_party_19,
-    four_party_comparison,
     lift3,
     lr_max,
     symmetry_images,
@@ -40,10 +39,6 @@ fp = four_party_19()  # same thing with the new party moved to the last slot
 rep = tightness(fp)
 print("local bound", rep.lr_max, "| saturating", rep.saturating_count, "| rank", rep.rank)
 print("facet?", rep.is_tight)
-
-# Cross-check against an independently transcribed version of the same
-# inequality, written out term by term.
-print("\ncoefficient mismatches vs the spelled-out form:", len(four_party_comparison()["mismatches"]))
 
 # An incompatible triple for contrast: the implied expression reaches 3.
 from bellift import BellExpression, Scenario

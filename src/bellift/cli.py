@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .documents import DocumentError, parse_expression, serialize_expression
-from .expressions import BellExpression, Scenario
+from .expressions import BellExpression, EnumerationCapExceeded, Scenario
 from .lifting import (
     compatibility_holds,
     four_party_19,
@@ -30,12 +30,7 @@ from .lifting import (
     symmetry_images,
     wbz333,
 )
-from .polytope import (
-    EnumerationCapExceeded,
-    enumerate_facets,
-    lr_max_with_witness,
-    tightness,
-)
+from .polytope import enumerate_facets, lr_max_with_witness, tightness
 from .quantum import (
     DEGENERACY_TOL,
     STATE_NAMES,

@@ -42,13 +42,26 @@ class EnumerationCapExceeded(Exception):
     """Raised when an enumeration or an exact tensor would exceed a configured cap."""
 
 
+def _refuse_over_cap(
+    size: int, cap: int, message: str, *, exponent: int = 1, **fields: object
+) -> None:
+    """Raise ``EnumerationCapExceeded`` when ``size ** exponent`` exceeds ``cap``.
+
+    Every cap refusal of the package comes through here.  A power is compared
+    by its exponent: any base of 2 or more is over the cap once the exponent
+    reaches ``cap.bit_length()``, so no integer much larger than the cap is
+    built.  Only a refusal formats ``message`` (with ``size``, ``exponent``,
+    ``cap`` and ``fields``) and appends ", over the cap of <cap>" to it.
+    """
+    if (size if exponent == 1 else size ** min(exponent, cap.bit_length())) > cap:
+        text = message.format(size=size, exponent=exponent, cap=cap, **fields)
+        raise EnumerationCapExceeded(f"{text}, over the cap of {cap}")
+
+
 def _require_exact_size(scenario: Scenario) -> None:
     """Refuse, before any coefficient is built, an expression over the cap."""
-    if scenario.dimension > EXACT_COEFFICIENT_CAP:
-        raise EnumerationCapExceeded(
-            f"an expression on scenario {scenario} has {scenario.dimension} exact "
-            f"coefficients, over the cap of {EXACT_COEFFICIENT_CAP}"
-        )
+    message = "an expression on scenario {s} has {size} exact coefficients"
+    _refuse_over_cap(scenario.dimension, EXACT_COEFFICIENT_CAP, message, s=scenario)
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -82,11 +95,8 @@ class Scenario:
         if any(m < 1 for m in settings):
             raise ValueError(f"setting counts must be >= 1, got {settings}")
         object.__setattr__(self, "settings", settings)
-        if self.dimension > ENUMERATION_CAP:
-            raise EnumerationCapExceeded(
-                f"scenario {self} has {self.dimension} joint settings, "
-                f"over the cap of {ENUMERATION_CAP}"
-            )
+        message = "scenario {s} has {size} joint settings"
+        _refuse_over_cap(self.dimension, ENUMERATION_CAP, message, s=self)
 
     @property
     def parties(self) -> int:

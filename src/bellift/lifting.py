@@ -35,10 +35,10 @@ from .expressions import (
     EXACT_COEFFICIENT_CAP,
     BellExpression,
     DeterministicStrategy,
-    EnumerationCapExceeded,
     Scenario,
     SignedSettingMap,
     _exact,
+    _refuse_over_cap,
     _require_same_scenario,
     apply_signed_setting_map,
     linear_combine,
@@ -150,10 +150,8 @@ def mabk(n: int) -> BellExpression:
     """
     if n < 1:
         raise ValueError("mabk needs at least one party")
-    if n >= EXACT_COEFFICIENT_CAP.bit_length():  # 2^n > cap, without building 2^n
-        raise EnumerationCapExceeded(
-            f"mabk({n}) has 2^{n} coefficients, over the cap of {EXACT_COEFFICIENT_CAP}"
-        )
+    message = "mabk({exponent}) has 2^{exponent} coefficients"
+    _refuse_over_cap(2, EXACT_COEFFICIENT_CAP, message, exponent=n)
     expr = BellExpression(Scenario((2,)), (Fraction(1), Fraction(0)))
     for _ in range(n - 1):
         swap = SignedSettingMap.uniform(expr.scenario, (1, 0), (1, 1))
@@ -205,8 +203,7 @@ def symmetry_images() -> tuple[BellExpression, BellExpression, BellExpression]:
     All three are again tight, and B + B1 = B2 + B3 exactly.  The identity
     pins B3 down uniquely among all uniform signed setting maps of wbz333,
     and it is also the choice under which the three-setting lift reproduces
-    the spelled-out four-party form coefficient for coefficient (see
-    ``four_party_comparison``).
+    the spelled-out four-party form coefficient for coefficient.
     """
     b = wbz333()
     b1, b2, b3 = (
@@ -227,62 +224,3 @@ def four_party_19() -> BellExpression:
     _, b2, b3 = symmetry_images()
     lifted, _ = lift3(wbz333(), b2, b3, diagnose=False)
     return permute_parties(lifted, (1, 2, 3, 0))
-
-
-def _four_party_spelled_out() -> BellExpression:
-    """The same inequality spelled out term by term with prefactor 1/8.
-
-    Kept as an independent transcription of the long displayed form so the
-    construction can be cross-checked; see ``four_party_comparison``.
-    """
-    scenario = Scenario((3, 3, 3, 3))
-    eighth = Fraction(1, 8)
-
-    def vec(*weights: int) -> tuple[int, int, int]:
-        return weights  # weight per setting 0,1,2
-
-    a0, a1, a2 = vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)
-    terms = [
-        # A0 block
-        (a0, vec(-1, 0, 1), vec(1, 1, 0), vec(0, 1, -1)),
-        (a0, vec(-1, 1, 0), vec(1, 0, 1), vec(1, -1, 0)),
-        (a0, vec(0, 1, 1), vec(0, 1, -1), vec(0, 1, 1)),
-        (a0, vec(1, 1, 0), vec(1, 1, 0), vec(1, 0, -1)),
-        (a0, vec(1, -1, 0), vec(1, 0, 1), vec(1, 0, -1)),
-        # A1 block
-        (a1, vec(-1, 0, -1), vec(1, 0, -1), vec(0, 1, 1)),
-        (a1, vec(0, 1, -1), vec(1, 1, 0), vec(0, 1, -1)),
-        (a1, vec(1, -1, 0), vec(0, 1, 1), vec(0, 1, -1)),
-        (a1, vec(1, 1, 0), vec(1, 0, -1), vec(1, 0, 1)),
-        (a1, vec(1, 1, 0), vec(0, 1, 1), vec(1, 0, 1)),
-        # A2 block
-        (a2, vec(1, 1, 0), vec(1, -1, 0), vec(0, 1, -1)),
-        (a2, vec(1, 0, -1), vec(1, -1, 0), vec(0, 1, 1)),
-        (a2, vec(-1, 1, 0), vec(1, 0, 1), vec(0, 1, 1)),
-    ]
-    parts = [
-        BellExpression.from_product(scenario, factors, eighth) for factors in terms
-    ]
-    return linear_combine([(1, part) for part in parts])
-
-
-def four_party_comparison() -> dict:
-    """Term-by-term comparison of the lift output with the spelled-out form.
-
-    Returns a dict with the number of nonzero terms of each, and a list of
-    ``(setting tuple, lifted coefficient, spelled-out coefficient)`` for every
-    index where the two disagree (empty when the transcription matches).
-    Discrepancies are reported, never silently patched.
-    """
-    lifted = four_party_19()
-    spelled = _four_party_spelled_out()
-    mismatches = []
-    for idx in lifted.scenario.index_tuples():
-        a, b = lifted.coeff(idx), spelled.coeff(idx)
-        if a != b:
-            mismatches.append((idx, a, b))
-    return {
-        "lifted_terms": sum(1 for _ in lifted.terms()),
-        "spelled_out_terms": sum(1 for _ in spelled.terms()),
-        "mismatches": mismatches,
-    }

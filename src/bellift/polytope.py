@@ -10,8 +10,9 @@ certifies a wide matrix, anything else falls back to the fraction-free
 elimination), and the facet enumeration is an integer double description
 whose rays never leave int64.
 
-Strategies are ordered lexicographically by their concatenated outcome bits
-(party-major, setting-major; bit 0 encodes outcome +1).  Flipping the
+Strategies are taken in *bit order*: strategy k is the one whose
+concatenated outcome bits (party-major, setting-major; bit 0 encodes
+outcome +1) are the binary digits of k, most significant first.  Flipping the
 outcomes of an even number of parties keeps the admissible vector, so each
 vertex has exactly one *canonical* strategy: outcome +1 at setting 0 for
 every party but the last.  It is the first strategy of its class in bit
@@ -21,7 +22,6 @@ bit order, so vertex lists, maximizers and witnesses are deterministic.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,14 +29,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expressions import (  # the caps are re-exported from here
+from .expressions import (
     ENUMERATION_CAP,
     _INT64_SAFE,
     BellExpression,
     DeterministicStrategy,
-    EnumerationCapExceeded,
     Scenario,
     _exact,
+    _refuse_over_cap,
 )
 from .rational_linalg import integer_kernel_vector, integer_rank
 
@@ -44,23 +44,6 @@ FACET_RAY_CAP = 2**20  # intermediate rays of the facet enumeration
 RANK_WORK_CAP = 2**30  # rows * cols * min(rows, cols) of a saturating-row rank
 _MASK_BITS = 64  # one uint64 zero-set mask per ray
 _CHUNK = 2**16  # array entries per vectorised adjacency step
-
-
-def _check_cap(scenario: Scenario) -> None:
-    total_bits = sum(scenario.settings)
-    if 2**total_bits > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"scenario {scenario} has 2^{total_bits} strategies, "
-            f"over the cap of {ENUMERATION_CAP}"
-        )
-
-
-def enumerate_strategies(scenario: Scenario):
-    """Yield every deterministic strategy in lexicographic bit order, lazily."""
-    _check_cap(scenario)
-    ends = list(itertools.accumulate(scenario.settings))
-    for bits in itertools.product((1, -1), repeat=ends[-1]):
-        yield DeterministicStrategy(tuple(bits[a:b] for a, b in zip([0] + ends, ends)))
 
 
 def _outcome_patterns(m: int) -> np.ndarray:
@@ -71,8 +54,10 @@ def _outcome_patterns(m: int) -> np.ndarray:
 
 def _canonical_counts(scenario: Scenario) -> list[int]:
     """Each party's number of canonical outcome rows; their product, the
-    vertex count 2^(sum(m_p) - n + 1), is known before any row is built."""
-    _check_cap(scenario)
+    vertex count 2^(sum(m_p) - n + 1), is known before any row is built.
+    Scenarios with more than ``ENUMERATION_CAP`` strategies are refused."""
+    message = "scenario {s} has 2^{exponent} strategies"
+    _refuse_over_cap(2, ENUMERATION_CAP, message, exponent=sum(scenario.settings), s=scenario)
     *first, last = scenario.settings
     return [2 ** (m - 1) for m in first] + [2**last]
 
@@ -130,8 +115,8 @@ def distinct_vertices(scenario: Scenario) -> np.ndarray:
     """All 2^(sum(m_p) - n + 1) polytope vertices, rows of +-1.
 
     Row k is the admissible vector of canonical strategy k, so the rows come
-    in the bit order of their canonical strategies, which is the order of
-    first occurrence over ``enumerate_strategies``.
+    in the bit order of their canonical strategies: each vertex appears where
+    it first occurs when every strategy is listed in bit order.
     """
     rows = _canonical_rows(scenario)
     out = _vertices(rows, np.arange(math.prod(len(r) for r in rows)))
@@ -166,11 +151,12 @@ def tightness(expr: BellExpression) -> TightnessReport:
     lr = Fraction(int(vals.max()), expr.denominator)
     saturating = np.flatnonzero(vals == expr.denominator)  # value exactly 1
     count, cols = len(saturating), expr.scenario.dimension
-    if count * cols > ENUMERATION_CAP or count * cols * min(count, cols) > RANK_WORK_CAP:
-        raise EnumerationCapExceeded(
-            f"{count} saturating vertices x {cols} coordinates are over the cap of "
-            f"{ENUMERATION_CAP} entries or {RANK_WORK_CAP} elimination steps"
-        )
+    message = "{count} saturating vertices x {cols} coordinates need {size} {unit}"
+    for size, cap, unit in (
+        (count * cols, ENUMERATION_CAP, "entries"),
+        (count * cols * min(count, cols), RANK_WORK_CAP, "elimination steps"),
+    ):
+        _refuse_over_cap(size, cap, message, count=count, cols=cols, unit=unit)
     rank, valid = integer_rank(_vertices(rows, saturating)), lr <= 1
     return TightnessReport(lr, count, rank, valid, is_tight=valid and rank == cols)
 
@@ -198,7 +184,7 @@ def _initial_cone(rows: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
 
 
 def _adjacent_pairs(
-    masks: np.ndarray, plus: np.ndarray, minus: np.ndarray, need: int, budget: int
+    masks: np.ndarray, plus: np.ndarray, minus: np.ndarray, need: int, kept: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (p, n) of adjacent rays, by the combinatorial test.
 
@@ -206,12 +192,12 @@ def _adjacent_pairs(
     rows and no third ray's zero set contains it.  One ray p is taken at a
     time: only rays sharing ``need`` zeros with p can be its partners or hold
     a common zero set, so the containment test runs on those alone, in
-    blocks of about ``_CHUNK`` entries.  More than ``budget`` pairs is
-    refused.
+    blocks of about ``_CHUNK`` entries.  Refused once the ``kept`` rays and
+    one new ray per pair exceed ``FACET_RAY_CAP``.
     """
     minus_masks, not_masks = masks[minus], ~masks
     firsts, seconds = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    found = 0
+    rays = kept
     for p in plus:
         partners = np.flatnonzero(np.bitwise_count(minus_masks & masks[p]) >= need)
         common = minus_masks[partners] & masks[p]
@@ -222,11 +208,8 @@ def _adjacent_pairs(
             block = common[k : k + step, None] & near
             holders[k : k + step] = np.count_nonzero(block == 0, axis=1)
         partners = partners[holders == 2]  # p and its partner; no third ray may
-        found += partners.size
-        if found > budget:
-            raise EnumerationCapExceeded(
-                f"facet enumeration exceeded {FACET_RAY_CAP} intermediate rays"
-            )
+        rays += partners.size
+        _refuse_over_cap(rays, FACET_RAY_CAP, "facet enumeration exceeded {cap} intermediate rays")
         firsts.append(np.full(partners.size, p))
         seconds.append(minus[partners])
     return np.concatenate(firsts), np.concatenate(seconds)
@@ -237,16 +220,15 @@ def _insert_row(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Intersect the cone with {y : row . y <= 0}, one double-description step."""
     # row entries are +-1, so |s| <= d max|r| and |s+ r- - s- r+| <= 2 d max|r|^2
-    if rays.shape[1] * int(np.abs(rays).max()) ** 2 >= _INT64_SAFE:
-        raise EnumerationCapExceeded("facet enumeration outgrew int64 ray entries")
+    bound = rays.shape[1] * int(np.abs(rays).max()) ** 2
+    _refuse_over_cap(bound, _INT64_SAFE - 1, "facet enumeration's int64 ray sums reach {size}")
     s = rays @ row
     plus, minus = np.flatnonzero(s > 0), np.flatnonzero(s < 0)
     kept = s <= 0
     kept_masks = masks[kept] | np.where(s[kept] == 0, np.uint64(1 << bit), np.uint64(0))
     if plus.size == 0 or minus.size == 0:
         return rays[kept], kept_masks
-    budget = FACET_RAY_CAP - int(np.count_nonzero(kept))
-    p, n = _adjacent_pairs(masks, plus, minus, rays.shape[1] - 2, budget)
+    p, n = _adjacent_pairs(masks, plus, minus, rays.shape[1] - 2, int(np.count_nonzero(kept)))
     new = s[p, None] * rays[n] - s[n, None] * rays[p]
     new //= np.gcd.reduce(new, axis=1)[:, None]
     new_masks = (masks[p] & masks[n]) | np.uint64(1 << bit)
@@ -272,12 +254,8 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellExpression, ...]:
     64 distinct vertices (the bitmask width), and mid-way when the rays
     would exceed ``FACET_RAY_CAP`` or int64.
     """
-    nverts = math.prod(_canonical_counts(scenario))
-    if nverts > _MASK_BITS:
-        raise EnumerationCapExceeded(
-            f"facet enumeration supports <= {_MASK_BITS} distinct vertices, "
-            f"scenario {scenario} has {nverts}"
-        )
+    message = "facet enumeration: scenario {s} has {size} distinct vertices"
+    _refuse_over_cap(math.prod(_canonical_counts(scenario)), _MASK_BITS, message, s=scenario)
     verts = distinct_vertices(scenario)
     rows = np.hstack([verts, -np.ones((verts.shape[0], 1), dtype=np.int64)])
     basis, rays, masks = _initial_cone(rows)

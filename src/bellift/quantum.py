@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expressions import BellExpression, Scenario
-from .polytope import ENUMERATION_CAP, EnumerationCapExceeded, lr_max
+from .expressions import ENUMERATION_CAP, BellExpression, Scenario, _refuse_over_cap
+from .polytope import lr_max
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +44,8 @@ _EIGENVALUE_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-6
 _CRITICAL_LAMBDA_RESOLUTION_DEG = 2e-3
 _SEESAW_TIE_ROUNDOFF = 1e-12  # restart values this close to the best one tie
+# n-qubit states and Bell operators are refused when 4^n exceeds ENUMERATION_CAP
+_QUBIT_MATRIX = "a {exponent}-qubit matrix has 4^{exponent} entries"
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +61,7 @@ class QuantumState:
     rho: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_qubit_count(self.n)
+        _refuse_over_cap(4, ENUMERATION_CAP, _QUBIT_MATRIX, exponent=self.n)
         rho = np.asarray(self.rho, dtype=np.complex128)
         if not np.isfinite(rho).all():  # NaN would pass every comparison below
             raise ValueError("density matrix has a non-finite entry")
@@ -81,20 +83,12 @@ class QuantumState:
         n = int(round(math.log2(ket.size)))
         if 2**n != ket.size:
             raise ValueError("ket length must be a power of two")
-        _check_qubit_count(n)
+        _refuse_over_cap(4, ENUMERATION_CAP, _QUBIT_MATRIX, exponent=n)
         norm = np.linalg.norm(ket)
         if not (np.isfinite(ket).all() and norm >= 1e-12):  # refused before dividing
             raise ValueError("cannot normalize a zero or non-finite ket")
         ket = ket / norm
         return cls(n, np.outer(ket, ket.conj()))
-
-
-def _check_qubit_count(n: int) -> None:
-    """Refuse n-qubit matrices (states, Bell operators) whose 4^n entries exceed the cap."""
-    if 4**n > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"a {n}-qubit matrix has 4^{n} entries, over the cap of {ENUMERATION_CAP}"
-        )
 
 
 _QUBIT_KETS = {
@@ -156,7 +150,7 @@ def make_state(
         if param is None or int(param) < 1:
             raise ValueError(f"{name} needs a positive qubit count")
         n = int(param)
-        _check_qubit_count(n)  # before the labels or the ket exist
+        _refuse_over_cap(4, ENUMERATION_CAP, _QUBIT_MATRIX, exponent=n)  # before the labels exist
         labels = ["0" * n, "1" * n] if name == "ghz" else ["0" * n]
         return _ket_state(dict.fromkeys(labels, 1))
     if name == "generalized-ghz":
@@ -228,7 +222,7 @@ def bell_operator(expr: BellExpression, settings: MeasurementSettings) -> np.nda
     ``_contract_parties``, the contraction that also gives T and alpha-tilde;
     it returns the row axes before the column axes, so one reshape gives B.
     """
-    _check_qubit_count(expr.scenario.parties)
+    _refuse_over_cap(4, ENUMERATION_CAP, _QUBIT_MATRIX, exponent=expr.scenario.parties)
     if not settings.matches(expr.scenario):
         raise ValueError(f"settings shape does not match scenario {expr.scenario}")
     observables = [np.tensordot(vecs, PAULIS, 1) for vecs in settings.vectors]
@@ -326,6 +320,8 @@ def contract_coefficients(expr: BellExpression, settings: MeasurementSettings) -
     """
     if not settings.matches(expr.scenario):
         raise ValueError(f"settings shape does not match scenario {expr.scenario}")
+    message = "alpha-tilde of {exponent} parties has 3^{exponent} entries"
+    _refuse_over_cap(3, ENUMERATION_CAP, message, exponent=expr.scenario.parties)
     return _contract_parties(_coefficient_tensor(expr), settings.vectors)
 
 
@@ -419,12 +415,10 @@ def seesaw_maximize(
         )
     n = scenario.parties
     dims = [3 * m for m in scenario.settings]
-    batch_size = cfg.restarts * math.prod(dims)
-    if batch_size > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"see-saw batch of {cfg.restarts} restarts x {math.prod(dims)} kernel "
-            f"entries is {batch_size}, over the cap of {ENUMERATION_CAP}"
-        )
+    entries = math.prod(dims)
+    message = "see-saw batch of {restarts} restarts x {entries} kernel entries is {size}"
+    batch = cfg.restarts * entries
+    _refuse_over_cap(batch, ENUMERATION_CAP, message, restarts=cfg.restarts, entries=entries)
     bound = lr_max(expr)
     if bound <= 0:
         raise ValueError("expression has non-positive local-realistic maximum")

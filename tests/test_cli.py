@@ -201,6 +201,8 @@ def test_oversized_states_exit_with_the_cap_code(capsys, tmp_path):
     assert code == 2 and "cap" in err
     code, _, err = run(capsys, "corr-tensor", "--state", "ghz", "--parties", "40")
     assert code == 2 and "cap" in err
+    code, _, err = run(capsys, "corr-tensor", "--state", "ghz", "--parties", "1000000000")
+    assert code == 2 and "cap" in err
     # a 13-party Bell operator would have 4^13 entries
     doc = tmp_path / "thirteen.json"
     doc.write_text(json.dumps({"settings": [1] * 13, "terms": [{"s": [0] * 13, "c": "1"}]}))

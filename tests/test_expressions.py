@@ -5,6 +5,7 @@ import math
 import pickle
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,11 @@ from bellift import (
     Scenario,
     SignedSettingMap,
     apply_signed_setting_map,
-    enumerate_strategies,
     evaluate,
     linear_combine,
     permute_parties,
 )
+from oracles import enumerate_strategies
 
 TWO = Scenario((2, 2))
 CHSH = BellExpression.from_terms(
@@ -66,6 +67,12 @@ def test_exact_coefficients_are_capped_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024  # a list of 2^17 coefficients alone takes 1 MiB
+
+
+def test_every_cap_refusal_goes_through_one_gate():
+    src = Path(__file__).resolve().parents[1] / "src" / "bellift"
+    raises = sum(p.read_text().count("raise EnumerationCapExceeded") for p in src.glob("*.py"))
+    assert raises == 1
 
 
 def test_scenario_rejects_bad_settings():

@@ -13,10 +13,8 @@ from bellift import (
     Scenario,
     compatibility_holds,
     enumerate_facets,
-    enumerate_strategies,
     evaluate,
     four_party_19,
-    four_party_comparison,
     lift2,
     lift3,
     linear_combine,
@@ -27,6 +25,7 @@ from bellift import (
     tightness,
     wbz333,
 )
+from oracles import enumerate_strategies
 
 ONE = Scenario((2,))
 DELTA0 = BellExpression.from_terms(ONE, [((0,), 1)])
@@ -216,10 +215,38 @@ def test_four_party_19_shape():
     assert denominators <= {4, 8}
 
 
+def _four_party_spelled_out():
+    """The four-party inequality transcribed term by term from its displayed
+    form, prefactor 1/8: per-party setting weights, parties A, B, C, D."""
+    a0, a1, a2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    terms = [
+        # A0 block
+        (a0, (-1, 0, 1), (1, 1, 0), (0, 1, -1)),
+        (a0, (-1, 1, 0), (1, 0, 1), (1, -1, 0)),
+        (a0, (0, 1, 1), (0, 1, -1), (0, 1, 1)),
+        (a0, (1, 1, 0), (1, 1, 0), (1, 0, -1)),
+        (a0, (1, -1, 0), (1, 0, 1), (1, 0, -1)),
+        # A1 block
+        (a1, (-1, 0, -1), (1, 0, -1), (0, 1, 1)),
+        (a1, (0, 1, -1), (1, 1, 0), (0, 1, -1)),
+        (a1, (1, -1, 0), (0, 1, 1), (0, 1, -1)),
+        (a1, (1, 1, 0), (1, 0, -1), (1, 0, 1)),
+        (a1, (1, 1, 0), (0, 1, 1), (1, 0, 1)),
+        # A2 block
+        (a2, (1, 1, 0), (1, -1, 0), (0, 1, -1)),
+        (a2, (1, 0, -1), (1, -1, 0), (0, 1, 1)),
+        (a2, (-1, 1, 0), (1, 0, 1), (0, 1, 1)),
+    ]
+    scenario = Scenario((3, 3, 3, 3))
+    return linear_combine(
+        [(1, BellExpression.from_product(scenario, t, Fraction(1, 8))) for t in terms]
+    )
+
+
 def test_four_party_comparison_is_clean():
-    report = four_party_comparison()
-    assert report["mismatches"] == []
-    assert report["lifted_terms"] == report["spelled_out_terms"] == 46
+    spelled = _four_party_spelled_out()
+    assert four_party_19() == spelled
+    assert sum(1 for _ in spelled.terms()) == 46
 
 
 # ---------------------------------------------------------------------------

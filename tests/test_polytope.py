@@ -17,7 +17,6 @@ from bellift import (
     apply_signed_setting_map,
     distinct_vertices,
     enumerate_facets,
-    enumerate_strategies,
     evaluate,
     lift2,
     lr_max,
@@ -27,6 +26,7 @@ from bellift import (
     tightness,
     wbz333,
 )
+from oracles import enumerate_strategies
 
 TWO = Scenario((2, 2))
 CHSH = mabk(2)
@@ -62,17 +62,11 @@ def test_enumeration_yields_unique_strategies():
     assert len(seen) == 2**5
 
 
-def test_enumeration_cap():
-    # 2^25 strategies, over the 2^24 cap: refused on the first next()
-    with pytest.raises(EnumerationCapExceeded):
-        list(enumerate_strategies(Scenario((25,))))
-
-
-def test_enumeration_is_lazy(monkeypatch):
-    # at the cap, the first strategy comes without building any outcome table
+def test_enumeration_cap(monkeypatch):
+    # 2^25 strategies, over the 2^24 cap: refused before any outcome row exists
     monkeypatch.setattr(polytope, "_outcome_patterns", None)
-    first = next(enumerate_strategies(Scenario((24,))))
-    assert first.outcomes == ((1,) * 24,)
+    with pytest.raises(EnumerationCapExceeded):
+        lr_max(expr(Scenario((25,)), [((0,), 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +137,10 @@ def test_valid_but_not_tight():
     assert rep.is_valid
     assert rep.rank == 2
     assert not rep.is_tight
+    # the face certified is {I = 1}: a facet scaled below its bound saturates nothing
+    rep = tightness(CHSH.scaled(Fraction(1, 2)))
+    assert rep.lr_max == Fraction(1, 2) and rep.saturating_count == 0
+    assert rep.is_valid and not rep.is_tight
 
 
 def test_invalid_expression_is_not_tight():

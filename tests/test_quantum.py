@@ -26,6 +26,7 @@ from bellift import (
     mabk,
     mabk_optimal_settings,
     make_state,
+    quantum,
     seesaw_maximize,
     spectrum,
     sum_squared_correlations,
@@ -105,6 +106,8 @@ def test_state_size_caps_refuse_before_allocating():
     assert qubits >= 4  # the named states stay under it
     with pytest.raises(EnumerationCapExceeded):
         make_state("ghz", 40)  # a 16 TiB ket if it were built
+    with pytest.raises(EnumerationCapExceeded):
+        make_state("ghz", 10**9)  # refused by its exponent: 4^n is never built
     with pytest.raises(EnumerationCapExceeded):
         make_state("product-zeros", qubits + 1)
     with pytest.raises(EnumerationCapExceeded):
@@ -373,6 +376,18 @@ def test_contract_coefficients_intermediates_stay_within_its_inputs_and_output(
     alpha = contract_coefficients(expr, dirs)
     assert alpha.shape == (3,) * 4 and len(sizes) == 4 and max(sizes) == alpha.size
     assert alpha[2, 2, 2, 2] == sum(range(16))
+
+
+def test_contract_coefficients_refuses_3_to_the_n_before_contracting(monkeypatch):
+    def unreachable(tensor, mats):
+        raise AssertionError("the contraction ran")
+
+    monkeypatch.setattr(quantum, "_contract_parties", unreachable)
+    # one coefficient, but alpha-tilde would have 3^16 > 2^24 entries
+    expr = BellExpression(Scenario((1,) * 16), [1])
+    dirs = MeasurementSettings(([[0.0, 0.0, 1.0]],) * 16)
+    with pytest.raises(EnumerationCapExceeded, match=r"3\^16"):
+        contract_coefficients(expr, dirs)
 
 
 def test_correlation_tensor_intermediates_shrink(monkeypatch):
