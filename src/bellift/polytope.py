@@ -38,7 +38,7 @@ from .expressions import (
     _exact,
     _refuse_over_cap,
 )
-from .rational_linalg import integer_kernel_vector, integer_rank
+from .rational_linalg import integer_rank
 
 FACET_RAY_CAP = 2**20  # intermediate rays of the facet enumeration
 RANK_WORK_CAP = 2**30  # rows * cols * min(rows, cols) of a saturating-row rank
@@ -116,10 +116,14 @@ def distinct_vertices(scenario: Scenario) -> np.ndarray:
 
     Row k is the admissible vector of canonical strategy k, so the rows come
     in the bit order of their canonical strategies: each vertex appears where
-    it first occurs when every strategy is listed in bit order.
+    it first occurs when every strategy is listed in bit order.  A table of
+    more than ``ENUMERATION_CAP`` entries is refused unbuilt.
     """
     rows = _canonical_rows(scenario)
-    out = _vertices(rows, np.arange(math.prod(len(r) for r in rows)))
+    count, cols = math.prod(len(r) for r in rows), scenario.dimension
+    message = "scenario {s} has {count} vertices x {cols} coordinates = {size} entries"
+    _refuse_over_cap(count * cols, ENUMERATION_CAP, message, s=scenario, count=count, cols=cols)
+    out = _vertices(rows, np.arange(count))
     out.setflags(write=False)
     return out
 
@@ -161,23 +165,42 @@ def tightness(expr: BellExpression) -> TightnessReport:
     return TightnessReport(lr, count, rank, valid, is_tight=valid and rank == cols)
 
 
+def _move(v: list[int], p: list[int], a: list[int], s: int) -> list[int]:
+    """``v`` moved along ``p`` onto the hyperplane a . y = 0 (s = a . p < 0), made primitive."""
+    t = sum(x * y for x, y in zip(a, v))
+    w = [-s * x + t * y for x, y in zip(v, p)]  # a . w = -s t + t s = 0
+    g = math.gcd(*w)
+    return [x // g for x in w]
+
+
 def _initial_cone(rows: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The first d independent rows (in order), plus the simplicial cone's rays.
 
-    Ray j spans the kernel of the chosen rows other than j, signed so that
-    row j is strictly negative on it; its zero set is the other chosen rows.
+    The double description's first phase, in Python ints: ``free`` spans the
+    directions that no taken row constrains yet, from the d unit vectors on.
+    A row is taken when a free direction does not annihilate it.  The first
+    such direction p, signed so that the row is negative on it, becomes its
+    ray, and every other free direction and ray moves along p onto the row's
+    hyperplane.  So ray j spans the kernel of the other taken rows (its zero
+    set), and row j is strictly negative on it.  d rows are taken because the
+    rows span: the vertex set is full-dimensional and inversion symmetric.
     """
     d = rows.shape[1]
+    free = [[int(i == k) for k in range(d)] for i in range(d)]
     basis: list[int] = []
-    for i in range(rows.shape[0]):
-        if integer_rank(rows[basis + [i]]) > len(basis):
-            basis.append(i)
-            if len(basis) == d:
-                break
-    rays = []
-    for j in basis:
-        ray = np.array(integer_kernel_vector(rows[[k for k in basis if k != j]]))
-        rays.append(ray if rows[j] @ ray < 0 else -ray)
+    rays: list[list[int]] = []
+    for i, a in enumerate(rows.tolist()):
+        dots = [sum(x * y for x, y in zip(a, v)) for v in free]
+        j = next((j for j, s in enumerate(dots) if s), None)
+        if j is None:
+            continue
+        p, s = free.pop(j), -abs(dots[j])
+        p = p if dots[j] < 0 else [-x for x in p]
+        free = [_move(v, p, a, s) for v in free]
+        rays = [_move(r, p, a, s) for r in rays] + [p]
+        basis.append(i)
+        if not free:
+            break
     full = sum(1 << k for k in basis)
     masks = np.array([full & ~(1 << j) for j in basis], dtype=np.uint64)
     return basis, np.array(rays, dtype=np.int64), masks
@@ -226,8 +249,6 @@ def _insert_row(
     plus, minus = np.flatnonzero(s > 0), np.flatnonzero(s < 0)
     kept = s <= 0
     kept_masks = masks[kept] | np.where(s[kept] == 0, np.uint64(1 << bit), np.uint64(0))
-    if plus.size == 0 or minus.size == 0:
-        return rays[kept], kept_masks
     p, n = _adjacent_pairs(masks, plus, minus, rays.shape[1] - 2, int(np.count_nonzero(kept)))
     new = s[p, None] * rays[n] - s[n, None] * rays[p]
     new //= np.gcd.reduce(new, axis=1)[:, None]
@@ -241,10 +262,11 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellExpression, ...]:
 
     Exact integer double description (Motzkin et al. 1953; Fukuda & Prodon
     1996) of the polar cone {(a, t) : v . a <= t for every distinct vertex
-    v}: start from the simplicial cone of the first D + 1 independent vertex
-    rows, then intersect with the remaining rows in ``distinct_vertices``
-    order.  Rays are gcd-normalized int64 vectors, each with its zero set as
-    one uint64 bitmask over the vertex rows, and adjacency is tested
+    v}: one elimination pass over the vertex rows builds the simplicial cone
+    of the first D + 1 independent ones (``_initial_cone``), then the cone
+    is intersected with the remaining rows in ``distinct_vertices`` order.
+    Rays are gcd-normalized int64 vectors, each with its zero set as one
+    uint64 bitmask over the vertex rows, and adjacency is tested
     combinatorially.  Every extreme ray has t > 0 (the vertex set is
     inversion symmetric and spans the space), so ray (a, t) is the facet
     (a / t) . x <= 1.

@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals (fraction-free, deterministic).
 
-One Bareiss fraction-free elimination is the only exact path: it serves the
-kernel vectors and every rank that is not certified more cheaply.  Integer
-matrices never leave integer arithmetic: the kernel back-substitution scales
-instead of dividing.  Pivots are the first nonzero entry in column order, so
-the computation is deterministic for a given row order.
+This module decides ranks, and nothing else.  One Bareiss fraction-free
+elimination is the only exact path: it decides every rank that is not
+certified more cheaply, and integer matrices never leave integer arithmetic.
+Pivots are the first nonzero entry in column order, so the computation is
+deterministic for a given row order.
 
 A matrix A of more than 16 columns is first tried for full rank on the Gram
 matrix G of its short side (A^T A if A is tall, A A^T if wide): over Q,
@@ -17,7 +17,6 @@ float64 or the witness fails its check, Bareiss on A decides.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -28,11 +27,7 @@ _INT64_ROOM = 2**62  # int64 bound on the witness's entries: half its range
 
 
 def _eliminate(m: list[list[int]]) -> int:
-    """Bareiss forward elimination of ``m`` in place; return the rank.
-
-    Afterwards row i < rank holds the integer triangle: its pivot is the
-    first nonzero entry.
-    """
+    """Bareiss forward elimination of ``m`` in place; return the rank."""
     nrows = len(m)
     width = len(m[0]) if m else 0
     rank = 0
@@ -126,32 +121,3 @@ def integer_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
     if a.shape[1] > _BAREISS_MAX_COLS and _full_rank_witness(a):
         return full
     return _eliminate(a.tolist())
-
-
-def integer_kernel_vector(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
-    """The primitive integer vector spanning the kernel of a corank-1 matrix.
-
-    The matrix has integer entries and rank one less than its column count,
-    so its kernel over Q is a line; the generator returned has coprime
-    entries (its sign is left to the caller).  The back-substitution stays in
-    integers by scaling the partial solution whenever a pivot does not
-    divide.
-    """
-    a = _matrix(rows)
-    m, ncols = a.tolist(), a.shape[1]
-    rank = _eliminate(m)
-    if rank != ncols - 1:
-        raise ValueError(f"kernel is not a line: rank {rank} with {ncols} columns")
-    pivots = [next(k for k, x in enumerate(m[i]) if x) for i in range(rank)]
-    free = next(k for k in range(ncols) if k not in pivots)
-    x = [0] * ncols
-    x[free] = 1
-    for i in range(rank - 1, -1, -1):
-        col, row = pivots[i], m[i]
-        s = sum(row[k] * x[k] for k in range(col + 1, ncols))
-        g = math.gcd(s, row[col])
-        scale = abs(row[col]) // g
-        x = [xk * scale for xk in x]
-        x[col] = -(s // g) * (1 if row[col] > 0 else -1)
-    g = math.gcd(*x)
-    return [xk // g for xk in x]

@@ -4,7 +4,8 @@
 
 import pytest
 
-from bellift.report import BatteryContext, battery
+from bellift import report
+from bellift.report import BatteryContext, Check, battery
 
 CHECKS = battery()
 VIOLATIONS = [c for c in CHECKS if c.acceptance.startswith("6[")]
@@ -75,3 +76,22 @@ def test_12_cauchy_schwarz_guard(ctx):
 
 def test_13_facet_oracle(ctx):
     accept(ctx, "13")
+
+
+def test_reproduce_report_walks_the_table_in_order(monkeypatch):
+    contexts = []
+
+    def stub(quantity, passed):
+        def compute(ctx):
+            contexts.append(ctx)
+            return passed, quantity
+
+        return Check("x", quantity, "pass", "exact", compute)
+
+    monkeypatch.setattr(report, "battery", lambda: (stub("first", True), stub("second", False)))
+    rep = report.reproduce_report(seed=7, restarts=3)
+    assert [(row.quantity, row.passed) for row in rep.rows] == [("first", True), ("second", False)]
+    assert contexts[0] is contexts[1]  # one shared context
+    assert (contexts[0].cfg.seed, contexts[0].cfg.restarts) == (7, 3)
+    assert (rep.seed, rep.restarts, rep.passed) == (7, 3, False)
+    assert rep.elapsed_s >= sum(row.elapsed_s for row in rep.rows)

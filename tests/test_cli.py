@@ -107,6 +107,16 @@ def test_lift3_and_compat_on_incompatible_triple(capsys, tmp_path):
     assert json.loads(out)["metadata"]["compatibility"] is False
 
 
+def test_compat_on_a_compatible_triple_has_no_witness(capsys, tmp_path):
+    from bellift import symmetry_images, wbz333
+
+    _, b2, b3 = symmetry_images()
+    paths = [write_doc(tmp_path, f"e{k}.json", e) for k, e in enumerate([wbz333(), b2, b3])]
+    code, out, _ = run(capsys, "compat", *paths)
+    assert code == 0
+    assert json.loads(out) == {"holds": True, "witness": None}
+
+
 def test_lift_metadata_keys_in_order(capsys, tmp_path):
     from bellift import BellExpression, Scenario, symmetry_images, wbz333
 
@@ -181,6 +191,15 @@ def test_violate_then_spectrum(capsys, tmp_path):
     assert code == 0
     eigs = json.loads(out)["eigenvalues"]
     assert abs(eigs[0] - math.sqrt(2)) < 1e-9
+
+
+@pytest.mark.parametrize("settings", [3, {"settings": "x"}], ids=["number", "wrapped-string"])
+def test_spectrum_refuses_a_settings_document_that_is_not_a_list(capsys, tmp_path, settings):
+    settings_path = tmp_path / "settings.json"
+    settings_path.write_text(json.dumps(settings))
+    chsh = write_doc(tmp_path, "chsh.json", mabk(2))
+    code, _, err = run(capsys, "spectrum", chsh, str(settings_path))
+    assert code == 1 and "must be a list" in err
 
 
 def test_violate_state_options(capsys, tmp_path):

@@ -76,6 +76,8 @@ def test_integer_coefficients_are_accepted():
         ({"settings": [2, 0], "terms": []}, "positive integer"),
         ({"settings": [2], "terms": [{"c": "1"}]}, "'s'"),
         ({"settings": [2], "terms": ["oops"]}, "expected an object"),
+        ({"settings": [2], "terms": [{"s": [0], "c": None}]}, "malformed rational None"),
+        ({"settings": [2], "terms": {"s": [0], "c": "1"}}, "'terms' must be a list"),
     ],
 )
 def test_distinct_error_messages(doc, fragment):

@@ -192,6 +192,33 @@ def test_uniform_map_requires_equal_setting_counts():
         SignedSettingMap.uniform(Scenario((2, 3)), (1, 0), (1, 1))
 
 
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: TWO.flat_index((0,)), "arity"),
+        (lambda: TWO.flat_index((0, 2)), "out of range"),
+        (lambda: BellExpression.from_product(TWO, [(1, 1), (1,)]), "one weight per setting"),
+        (lambda: BellExpression(TWO, [1, 2, 3]), "expected 4 coefficients"),
+        (lambda: permute_parties(CHSH, (0, 0)), "not a permutation of the parties"),
+        (lambda: SignedSettingMap(((0, 1),), ()), "same parties"),
+        (lambda: SignedSettingMap(((0, 0),), ((1, 1),)), "not a permutation"),
+        (lambda: SignedSettingMap(((0, 1),), ((1, 2),)), "signs must be"),
+        (
+            lambda: apply_signed_setting_map(CHSH, SignedSettingMap(((1, 0),), ((1, 1),))),
+            "map shape",
+        ),
+    ],
+    ids=[
+        "flat-index-arity", "flat-index-range", "product-factor-lengths", "coefficient-count",
+        "non-permutation-order", "map-party-count", "map-non-permutation", "map-signs",
+        "map-shape",
+    ],
+)
+def test_malformed_arguments_are_refused(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
 def test_signed_setting_map_matches_strategy_relabelling():
     """new[perm(i)] = sign(i) * old[i] means values transport through the
     corresponding outcome relabelling."""

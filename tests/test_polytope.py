@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +216,44 @@ def test_distinct_vertex_count(settings):
     # oracle: admissible vectors of all strategies, first occurrence kept
     vectors = (s.admissible_vector(scenario) for s in enumerate_strategies(scenario))
     assert verts.tolist() == [list(v) for v in dict.fromkeys(vectors)]
+
+
+def test_distinct_vertices_sizes_the_table_before_building_it(monkeypatch):
+    def unreachable(rows, ids):
+        raise AssertionError("vertices were built")
+
+    monkeypatch.setattr(polytope, "_vertices", unreachable)
+    # 2^21 x 1296 entries (20 GiB as int64) and 2^17 x 625, both inside 2^24 strategies
+    for m in (6, 5):
+        with pytest.raises(EnumerationCapExceeded, match="coordinates"):
+            distinct_vertices(Scenario((m,) * 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_initial_cone_against_a_float_rank_oracle(nrows, ncols, deficient, seed):
+    """The elimination pass takes the rows that raise the rank, in order.  Ray
+    j is primitive, row j is negative on it, and the other taken rows
+    annihilate it, so its zero set is theirs."""
+    rng = np.random.default_rng(seed)
+    if deficient:  # a product through a narrower inner dimension
+        inner = int(rng.integers(1, ncols + 1))
+        rows = rng.integers(-3, 4, size=(nrows, inner)) @ rng.integers(-3, 4, size=(inner, ncols))
+    else:
+        rows = rng.integers(-3, 4, size=(nrows, ncols))
+    basis, rays, masks = polytope._initial_cone(rows)
+    rays = rays.reshape(len(basis), ncols)  # (0,) when every row is zero
+    greedy = []
+    for i in range(nrows):
+        if np.linalg.matrix_rank(rows[greedy + [i]].astype(float)) > len(greedy):
+            greedy.append(i)
+    assert basis == greedy
+    values = rows[basis].astype(object) @ rays.T.astype(object)  # row basis[k] on ray j
+    assert (values != 0).tolist() == np.eye(len(basis), dtype=bool).tolist()
+    assert all(values[j, j] < 0 for j in range(len(basis)))
+    assert all(math.gcd(*ray) == 1 for ray in rays.tolist())
+    full = sum(1 << k for k in basis)
+    assert masks.tolist() == [full & ~(1 << k) for k in basis]
 
 
 def _solve_unit_rhs(rows):

@@ -11,6 +11,7 @@ import pytest
 from bellift import (
     ENUMERATION_CAP,
     BellExpression,
+    CorrelationTensor,
     EnumerationCapExceeded,
     MeasurementSettings,
     PAULIS,
@@ -83,6 +84,30 @@ def test_make_state_domain_errors():
         make_state("ghz")
     with pytest.raises(ValueError):
         make_state("custom")
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: QuantumState(1, np.eye(4) / 4), "2x2 matrix"),
+        (lambda: QuantumState.from_ket([1, 0, 0]), "power of two"),
+        (lambda: make_state("generalized-ghz"), "needs the angle"),
+        (lambda: MeasurementSettings((np.eye(2),)), r"\(m, 3\)"),
+        (lambda: CorrelationTensor(2, np.zeros(3)), "expected shape"),
+        (lambda: CorrelationTensor(1, [2.0, 0.0, 0.0]), r"\[-1, 1\]"),
+        (lambda: contract_coefficients(CHSH, mabk_optimal_settings(3)), "settings shape"),
+        (lambda: seesaw_maximize(BellExpression.zero(Scenario((2, 2))), BELL), "non-positive"),
+        (lambda: mabk_optimal_settings(0), "at least one party"),
+    ],
+    ids=[
+        "state-shape", "ket-length", "generalized-ghz-angle", "directions-shape",
+        "tensor-shape", "tensor-entry", "coefficient-settings", "seesaw-zero-bound",
+        "mabk-parties",
+    ],
+)
+def test_malformed_arguments_are_refused(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

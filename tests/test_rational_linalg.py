@@ -1,5 +1,5 @@
-"""Fraction-free rank and kernel vectors against a floating oracle, and the
-integer inverse witness of full rank against Bareiss."""
+"""Fraction-free rank against a floating oracle, and the integer inverse
+witness of full rank against Bareiss."""
 
 import math
 import re
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bellift import rational_linalg
 from bellift.lifting import four_party_19, mabk
 from bellift.polytope import distinct_vertices, tightness
-from bellift.rational_linalg import _eliminate, integer_kernel_vector, integer_rank
+from bellift.rational_linalg import _eliminate, integer_rank
 
 
 def test_rank_simple_cases():
@@ -42,23 +42,6 @@ def test_rank_survives_big_integers():
     assert integer_rank(m) == 2
 
 
-def test_kernel_vector_is_primitive_and_annihilates():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        n = int(rng.integers(2, 8))
-        m = rng.integers(-4, 5, size=(n - 1, n))
-        if np.linalg.matrix_rank(m.astype(float)) < n - 1:
-            continue
-        x = integer_kernel_vector(m.tolist())
-        assert all(v == 0 for v in m @ np.array(x, dtype=object))
-        assert math.gcd(*x) == 1
-
-
-def test_kernel_vector_needs_corank_one():
-    with pytest.raises(ValueError):
-        integer_kernel_vector([[1, 2, 3], [2, 4, 6]])  # rank 1, kernel is a plane
-
-
 @pytest.mark.parametrize(
     "rows, lengths",
     [
@@ -68,9 +51,8 @@ def test_kernel_vector_needs_corank_one():
     ],
 )
 def test_ragged_rows_are_refused(rows, lengths):
-    for fn in (integer_rank, integer_kernel_vector):
-        with pytest.raises(ValueError, match=f"row lengths {re.escape(lengths)}"):
-            fn(rows)
+    with pytest.raises(ValueError, match=f"row lengths {re.escape(lengths)}"):
+        integer_rank(rows)
 
 
 # ---------------------------------------------------------------------------
