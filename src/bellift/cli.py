@@ -17,8 +17,6 @@ import math
 import sys
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from .documents import DocumentError, parse_expression, serialize_expression
 from .expressions import BellExpression, EnumerationCapExceeded, Scenario
 from .lifting import (
@@ -82,22 +80,12 @@ def _emit(payload: Any, out: str | None) -> None:
             fh.write(text)
 
 
-def _strategy_payload(strategy) -> list[list[int]] | None:
-    if strategy is None:
-        return None
-    return [list(party) for party in strategy.outcomes]
-
-
-def _settings_payload(settings: MeasurementSettings) -> list[list[list[float]]]:
-    return [[[float(x) for x in row] for row in party] for party in settings.vectors]
-
-
 def _settings_from_payload(payload: Any) -> MeasurementSettings:
     if isinstance(payload, dict) and "settings" in payload:
         payload = payload["settings"]
     if not isinstance(payload, list):
         raise DocumentError("settings document must be a list of per-party direction arrays")
-    return MeasurementSettings(tuple(np.asarray(party, dtype=np.float64) for party in payload))
+    return MeasurementSettings(tuple(payload))  # each party becomes a float64 array there
 
 
 def _state_from_args(args: argparse.Namespace):
@@ -133,49 +121,147 @@ _BUILTINS: dict[str, Callable[[], Any]] = {
 }
 
 
+def _lr_bound(args: argparse.Namespace) -> dict[str, Any]:
+    bound, witness = lr_max_with_witness(_read_expression(args.expr))
+    return {"lr_max": str(bound), "witness": witness.outcomes}
+
+
+def _tightness(args: argparse.Namespace) -> dict[str, Any]:
+    rep = tightness(_read_expression(args.expr))
+    return {
+        "lr_max": str(rep.lr_max),
+        "saturating": rep.saturating_count,
+        "rank": rep.rank,
+        "valid": rep.is_valid,
+        "tight": rep.is_tight,
+    }
+
+
+def _facets(args: argparse.Namespace) -> dict[str, Any]:
+    facets = enumerate_facets(Scenario(tuple(args.settings)))
+    return {
+        "settings": args.settings,
+        "count": len(facets),
+        "facets": [serialize_expression(f) for f in facets],
+    }
+
+
+def _lift(args: argparse.Namespace, lift: Callable, *paths: str) -> dict[str, Any]:
+    out, diag = lift(*map(_read_expression, paths), diagnose=not args.no_diagnose)
+    meta: dict[str, Any] = {"name": args.command}
+    if diag.compatibility_valid is not None:
+        meta["compatibility"] = diag.compatibility_valid
+    if diag.compatibility_witness is not None:
+        meta["compatibility_witness"] = diag.compatibility_witness.outcomes
+    if diag.inputs_tight is not None:
+        meta["inputs_tight"] = list(diag.inputs_tight)
+        meta["output_tight"] = diag.output_tight
+    if diag.compatibility_valid is False:
+        print(
+            "warning: compatibility condition fails; the lift need not be a facet",
+            file=sys.stderr,
+        )
+    return serialize_expression(out, meta)
+
+
+def _compat(args: argparse.Namespace) -> dict[str, Any]:
+    holds, witness = compatibility_holds(*map(_read_expression, (args.i0, args.i2, args.i3)))
+    return {"holds": holds, "witness": None if witness is None else witness.outcomes}
+
+
+def _violate(args: argparse.Namespace) -> dict[str, Any]:
+    expr = _read_expression(args.expr)
+    cfg = SeesawConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
+    result = seesaw_maximize(expr, _state_from_args(args), cfg)
+    return {
+        "value": result.value,
+        "converged": result.converged,
+        "scale": str(result.scale),
+        "settings": [party.tolist() for party in result.settings.vectors],
+    }
+
+
+def _spectrum(args: argparse.Namespace) -> dict[str, Any]:
+    expr = _read_expression(args.expr)
+    settings = _settings_from_payload(json.loads(_read_text(args.settings)))
+    spec = spectrum(bell_operator(expr, settings), degeneracy_tol=args.tol)
+    return {"eigenvalues": spec.eigenvalues, "groups": spec.groups}
+
+
+def _tensor(args: argparse.Namespace) -> dict[str, Any]:
+    state = _state_from_args(args)
+    return {
+        "parties": state.n,
+        "values": correlation_tensor(state).values.tolist(),
+        "sum_squares": sum_squared_correlations(state),
+    }
+
+
+def _reproduce(args: argparse.Namespace) -> int:
+    report = reproduce_report(seed=args.seed, restarts=args.restarts)
+    print(format_table(report))
+    if args.out:
+        _emit(report.as_dict(), args.out)
+    return EXIT_OK if report.passed else EXIT_REPRODUCE
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bellift", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, help_: str, handler: Callable) -> argparse.ArgumentParser:
+        """A subcommand whose handler maps the parsed arguments to its JSON payload."""
         p = sub.add_parser(name, help=help_)
         p.add_argument("--out", help="write the JSON result here instead of stdout")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("lr-bound", "exact local-realistic maximum of an expression")
+    p = add("lr-bound", "exact local-realistic maximum of an expression", _lr_bound)
     p.add_argument("expr", help="expression document ('-' for stdin)")
 
-    p = add("tightness", "facet certificate: validity, saturation count, exact rank")
+    p = add("tightness", "facet certificate: validity, saturation count, exact rank", _tightness)
     p.add_argument("expr")
 
-    p = add("facets", "exact facet enumeration for a small scenario")
+    p = add("facets", "exact facet enumeration for a small scenario", _facets)
     p.add_argument("settings", type=int, nargs="+", help="settings per party, e.g. 2 2")
 
-    p = add("lift2", "two-setting lift of a facet pair (new party first)")
+    p = add(
+        "lift2",
+        "two-setting lift of a facet pair (new party first)",
+        lambda a: _lift(a, lift2, a.plus, a.minus),
+    )
     p.add_argument("plus", help="facet entering with + sign")
     p.add_argument("minus", help="facet entering with - sign")
     p.add_argument(
         "--no-diagnose", action="store_true", help="skip input/output tightness checks"
     )
 
-    p = add("lift3", "three-setting lift of a facet triple (new party first)")
+    p = add(
+        "lift3",
+        "three-setting lift of a facet triple (new party first)",
+        lambda a: _lift(a, lift3, a.i0, a.i2, a.i3),
+    )
     p.add_argument("i0")
     p.add_argument("i2")
     p.add_argument("i3")
     p.add_argument("--no-diagnose", action="store_true")
 
-    p = add("compat", "check the implied fourth expression is valid")
+    p = add("compat", "check the implied fourth expression is valid", _compat)
     p.add_argument("i0")
     p.add_argument("i2")
     p.add_argument("i3")
 
-    p = add("mabk", "n-party two-setting inequality from the recursive lift")
+    p = add(
+        "mabk",
+        "n-party two-setting inequality from the recursive lift",
+        lambda a: serialize_expression(mabk(a.n), {"name": f"mabk-{a.n}"}),
+    )
     p.add_argument("n", type=int)
 
-    p = add("builtin", "built-in expressions")
+    p = add("builtin", "built-in expressions", lambda a: _BUILTINS[a.name]())
     p.add_argument("name", choices=_BUILTINS)
 
-    p = add("violate", "see-saw maximization of the violation factor for a state")
+    p = add("violate", "see-saw maximization of the violation factor for a state", _violate)
     p.add_argument("expr")
     _add_state_options(p)
     p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
@@ -184,7 +270,7 @@ def _build_parser() -> _Parser:
         "--tol", type=float, default=SeesawConfig.tol, help="see-saw convergence tolerance"
     )
 
-    p = add("spectrum", "eigenvalues of the Bell operator at given settings")
+    p = add("spectrum", "eigenvalues of the Bell operator at given settings", _spectrum)
     p.add_argument("expr")
     p.add_argument(
         "settings",
@@ -194,135 +280,30 @@ def _build_parser() -> _Parser:
         "--tol", type=float, default=DEGENERACY_TOL, help="degeneracy grouping tolerance"
     )
 
-    p = add("corr-tensor", "full correlation tensor of a state in the coordinate bases")
+    p = add("corr-tensor", "full correlation tensor of a state in the coordinate bases", _tensor)
     _add_state_options(p)
 
-    p = add("reproduce", "recompute all built-in reference values and report pass/fail")
+    p = add("reproduce", "recompute all built-in reference values and report pass/fail", _reproduce)
     p.add_argument("--seed", type=int, default=SeesawConfig.seed)
     p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
 
     return parser
 
 
-def _run(args: argparse.Namespace) -> int:
-    cmd = args.command
-    if cmd == "lr-bound":
-        expr = _read_expression(args.expr)
-        bound, witness = lr_max_with_witness(expr)
-        _emit(
-            {"lr_max": str(bound), "witness": _strategy_payload(witness)},
-            args.out,
-        )
-    elif cmd == "tightness":
-        rep = tightness(_read_expression(args.expr))
-        _emit(
-            {
-                "lr_max": str(rep.lr_max),
-                "saturating": rep.saturating_count,
-                "rank": rep.rank,
-                "valid": rep.is_valid,
-                "tight": rep.is_tight,
-            },
-            args.out,
-        )
-    elif cmd == "facets":
-        facets = enumerate_facets(Scenario(tuple(args.settings)))
-        _emit(
-            {
-                "settings": list(args.settings),
-                "count": len(facets),
-                "facets": [serialize_expression(f) for f in facets],
-            },
-            args.out,
-        )
-    elif cmd in ("lift2", "lift3"):
-        if cmd == "lift2":
-            lift, paths = lift2, (args.plus, args.minus)
-        else:
-            lift, paths = lift3, (args.i0, args.i2, args.i3)
-        out, diag = lift(*map(_read_expression, paths), diagnose=not args.no_diagnose)
-        meta: dict[str, Any] = {"name": cmd}
-        if diag.compatibility_valid is not None:
-            meta["compatibility"] = diag.compatibility_valid
-        if diag.compatibility_witness is not None:
-            meta["compatibility_witness"] = _strategy_payload(diag.compatibility_witness)
-        if diag.inputs_tight is not None:
-            meta["inputs_tight"] = list(diag.inputs_tight)
-            meta["output_tight"] = diag.output_tight
-        if diag.compatibility_valid is False:
-            print(
-                "warning: compatibility condition fails; the lift need not be a facet",
-                file=sys.stderr,
-            )
-        _emit(serialize_expression(out, meta), args.out)
-    elif cmd == "compat":
-        holds, witness = compatibility_holds(
-            _read_expression(args.i0),
-            _read_expression(args.i2),
-            _read_expression(args.i3),
-        )
-        _emit({"holds": holds, "witness": _strategy_payload(witness)}, args.out)
-    elif cmd == "mabk":
-        _emit(serialize_expression(mabk(args.n), {"name": f"mabk-{args.n}"}), args.out)
-    elif cmd == "builtin":
-        _emit(_BUILTINS[args.name](), args.out)
-    elif cmd == "violate":
-        expr = _read_expression(args.expr)
-        cfg = SeesawConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
-        result = seesaw_maximize(expr, _state_from_args(args), cfg)
-        _emit(
-            {
-                "value": result.value,
-                "converged": result.converged,
-                "scale": str(result.scale),
-                "settings": _settings_payload(result.settings),
-            },
-            args.out,
-        )
-    elif cmd == "spectrum":
-        expr = _read_expression(args.expr)
-        settings = _settings_from_payload(json.loads(_read_text(args.settings)))
-        spec = spectrum(bell_operator(expr, settings), degeneracy_tol=args.tol)
-        _emit(
-            {
-                "eigenvalues": list(spec.eigenvalues),
-                "groups": [[v, m] for v, m in spec.groups],
-            },
-            args.out,
-        )
-    elif cmd == "corr-tensor":
-        state = _state_from_args(args)
-        tensor = correlation_tensor(state)
-        _emit(
-            {
-                "parties": tensor.n,
-                "values": tensor.values.tolist(),
-                "sum_squares": sum_squared_correlations(state),
-            },
-            args.out,
-        )
-    elif cmd == "reproduce":
-        report = reproduce_report(seed=args.seed, restarts=args.restarts)
-        print(format_table(report))
-        if args.out:
-            _emit(report.as_dict(), args.out)
-        if not report.passed:
-            return EXIT_REPRODUCE
-    else:  # pragma: no cover - argparse enforces the choices
-        raise DocumentError(f"unknown command {cmd!r}")
-    return EXIT_OK
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        payload = args.handler(args)
+        if isinstance(payload, int):  # reproduce's exit code: it writes its own output
+            return payload
+        _emit(payload, args.out)
     except EnumerationCapExceeded as exc:
         print(f"bellift: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (DocumentError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"bellift: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    return EXIT_OK
 
 
 if __name__ == "__main__":

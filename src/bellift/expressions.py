@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -89,7 +90,7 @@ class Scenario:
     settings: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        settings = tuple(int(m) for m in self.settings)
+        settings = tuple(map(operator.index, self.settings))
         if not settings:
             raise ValueError("scenario needs at least one party")
         if any(m < 1 for m in settings):
@@ -132,7 +133,7 @@ class DeterministicStrategy:
     outcomes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        outcomes = tuple(tuple(int(o) for o in party) for party in self.outcomes)
+        outcomes = tuple(tuple(map(operator.index, party)) for party in self.outcomes)
         for party in outcomes:
             if any(o not in (-1, 1) for o in party):
                 raise ValueError(f"outcomes must be +-1, got {outcomes}")
@@ -303,8 +304,8 @@ class SignedSettingMap:
     signs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        perms = tuple(tuple(int(j) for j in p) for p in self.permutations)
-        signs = tuple(tuple(int(s) for s in p) for p in self.signs)
+        perms = tuple(tuple(map(operator.index, p)) for p in self.permutations)
+        signs = tuple(tuple(map(operator.index, p)) for p in self.signs)
         if len(perms) != len(signs):
             raise ValueError("permutations and signs must cover the same parties")
         for perm, sgn in zip(perms, signs):

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .expressions import ENUMERATION_CAP, BellExpression, Scenario, _refuse_over_cap
+from .lifting import mabk
 from .polytope import lr_max
 
 logger = logging.getLogger(__name__)
@@ -80,9 +81,9 @@ class QuantumState:
     @classmethod
     def from_ket(cls, amplitudes: Sequence[complex]) -> QuantumState:
         ket = np.asarray(amplitudes, dtype=np.complex128)
-        n = int(round(math.log2(ket.size)))
-        if 2**n != ket.size:
-            raise ValueError("ket length must be a power of two")
+        n = ket.size.bit_length() - 1  # -1 for an empty ket, which the check below refuses
+        if ket.ndim != 1 or 2**n != ket.size:
+            raise ValueError(f"a ket must be 1-D, its length a power of two, got shape {ket.shape}")
         _refuse_over_cap(4, ENUMERATION_CAP, _QUBIT_MATRIX, exponent=n)
         norm = np.linalg.norm(ket)
         if not (np.isfinite(ket).all() and norm >= 1e-12):  # refused before dividing
@@ -143,6 +144,8 @@ def make_state(
         if rho is None:
             raise ValueError("custom state needs a density matrix")
         mat = np.asarray(rho, dtype=np.complex128)
+        if mat.ndim != 2 or mat.size == 0:
+            raise ValueError(f"density matrix must be a non-empty 2-D array, got shape {mat.shape}")
         return QuantumState(int(round(math.log2(mat.shape[0]))), mat)
     if name in _KETS:
         return _ket_state(_KETS[name])
@@ -251,6 +254,8 @@ class Spectrum:
 
 def spectrum(operator: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
     """Eigenvalues of a Hermitian operator, grouped by near-degeneracy."""
+    if not (math.isfinite(degeneracy_tol) and degeneracy_tol >= 0):
+        raise ValueError(f"degeneracy_tol must be finite and non-negative, got {degeneracy_tol}")
     op = np.asarray(operator, dtype=np.complex128)
     if not np.isfinite(op).all():
         raise ValueError("operator has a non-finite entry")
@@ -532,8 +537,6 @@ def mabk_critical_lambda(config: SeesawConfig | None = None) -> float:
     expression over ``cos(lambda)|0000> + sin(lambda)|1111>``.  The result
     satisfies sin(2 lambda) = 1/sqrt(8).
     """
-    from .lifting import mabk  # local import to avoid a cycle at module load
-
     expr = mabk(4)
     cfg = config or SeesawConfig()
 

@@ -202,6 +202,15 @@ def test_spectrum_refuses_a_settings_document_that_is_not_a_list(capsys, tmp_pat
     assert code == 1 and "must be a list" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_spectrum_refuses_a_bad_degeneracy_tolerance(capsys, tmp_path, tol):
+    chsh = write_doc(tmp_path, "chsh.json", mabk(2))
+    directions = tmp_path / "directions.json"
+    directions.write_text(json.dumps([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]] * 2))
+    code, out, err = run(capsys, "spectrum", chsh, str(directions), "--tol", tol)
+    assert code == 1 and out == "" and "finite and non-negative" in err
+
+
 def test_violate_state_options(capsys, tmp_path):
     chsh = write_doc(tmp_path, "chsh.json", mabk(2))
     code, _, err = run(capsys, "violate", chsh, "--state", "generalized-ghz")
@@ -360,6 +369,13 @@ def test_reproduce_out_accepts_numpy_bool_rows(capsys, monkeypatch, tmp_path):
     assert payload["passed"] is False
     assert payload["rows"][0]["passed"] is False
     assert payload["rows"][0]["elapsed_s"] == 0.25
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    (commands,) = [a.choices for a in _build_parser()._actions if a.dest == "command"]
+    assert [name for name in commands if f"bellift {name} " not in block] == []
 
 
 def test_console_script_is_installed():

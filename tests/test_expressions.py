@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,31 @@ def test_strategy_validation():
     s = DeterministicStrategy(((1, -1), (1, 1)))
     assert s.matches(TWO)
     assert not s.matches(Scenario((2, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Scenario((2.7, 2)),
+        lambda: Scenario(("3", 2)),
+        lambda: DeterministicStrategy(((1.5, -1),)),
+        lambda: SignedSettingMap(((1.9, 0),), ((1, 1),)),
+    ],
+    ids=["scenario-float", "scenario-string", "strategy-float", "map-float"],
+)
+def test_integer_fields_refuse_non_integers(build):
+    with pytest.raises(TypeError):  # not truncated (2.7 -> 2) or parsed ("3" -> 3)
+        build()
+
+
+def test_integer_fields_take_numpy_integers():
+    s = Scenario((np.int64(3), np.int8(2)))
+    strategy = DeterministicStrategy(((np.int64(1), np.int64(-1)),))
+    mapping = SignedSettingMap(((np.int64(1), np.int64(0)),), ((np.int64(1), -1),))
+    assert s == Scenario((3, 2)) and strategy.outcomes == ((1, -1),)
+    assert (mapping.permutations, mapping.signs) == (((1, 0),), ((1, -1),))
+    fields = [*s.settings, *strategy.outcomes[0], *mapping.permutations[0], *mapping.signs[0]]
+    assert all(type(v) is int for v in fields)
 
 
 def test_admissible_vector_is_outer_product():

@@ -327,8 +327,8 @@ def test_facet_oracle_matches_qhull(settings):
 
 def _scaled(facets, scale):
     """Coefficients times ``scale`` as an int array, checked to be integers."""
-    assert all(scale % c.denominator == 0 for f in facets for c in f.coeffs)
-    return np.array([[c.numerator * (scale // c.denominator) for c in f.coeffs] for f in facets])
+    assert all(scale % f.denominator == 0 for f in facets)  # the lcm of the reduced ones
+    return np.array([[n * (scale // f.denominator) for n in f.numerators] for f in facets])
 
 
 def test_four_party_two_setting_facets_are_the_lift2_closure():

@@ -98,11 +98,19 @@ def test_make_state_domain_errors():
         (lambda: contract_coefficients(CHSH, mabk_optimal_settings(3)), "settings shape"),
         (lambda: seesaw_maximize(BellExpression.zero(Scenario((2, 2))), BELL), "non-positive"),
         (lambda: mabk_optimal_settings(0), "at least one party"),
+        (lambda: QuantumState.from_ket(np.ones((2, 2))), r"shape \(2, 2\)"),
+        (lambda: QuantumState.from_ket([]), r"shape \(0,\)"),
+        (lambda: make_state("custom", rho=np.zeros((0, 0))), r"shape \(0, 0\)"),
+        (lambda: make_state("custom", rho=5.0), r"shape \(\)"),
+        (lambda: spectrum(np.eye(2), math.nan), "finite and non-negative"),
+        (lambda: spectrum(np.eye(2), -1.0), "finite and non-negative"),
+        (lambda: spectrum(np.eye(2), math.inf), "finite and non-negative"),
     ],
     ids=[
         "state-shape", "ket-length", "generalized-ghz-angle", "directions-shape",
         "tensor-shape", "tensor-entry", "coefficient-settings", "seesaw-zero-bound",
-        "mabk-parties",
+        "mabk-parties", "ket-2d", "ket-empty", "rho-empty", "rho-scalar",
+        "spectrum-tol-nan", "spectrum-tol-negative", "spectrum-tol-inf",
     ],
 )
 def test_malformed_arguments_are_refused(build, fragment):
