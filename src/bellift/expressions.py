@@ -264,6 +264,27 @@ def evaluate(expr: BellExpression, strategy: DeterministicStrategy) -> Fraction:
     return Fraction(sum(n * v for n, v in zip(expr.numerators, vertex)), expr.denominator)
 
 
+def _combine(
+    weight_rows: Sequence[Sequence[RationalLike]], exprs: Sequence[BellExpression]
+) -> tuple[list[int], int]:
+    """Numerators of sum_k row[k] * exprs[k] for every row, flat one row after
+    another, over one common denominator: a single integer matrix product."""
+    _require_same_scenario(*exprs)
+    weights, den = _integers(w for row in weight_rows for w in row)
+    lcm = math.lcm(*(e.denominator for e in exprs))
+    k = len(exprs)
+    scales = [
+        [w * (lcm // e.denominator) for w, e in zip(weights[i : i + k], exprs)]
+        for i in range(0, len(weights), k)
+    ]
+    # bounds every scale, every numerator and every sum of products
+    widest = max(1, *(sum(map(abs, row)) for row in scales))
+    bound = widest * max(1, *(max(map(abs, e.numerators)) for e in exprs))
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    nums = np.array(scales, dtype=dtype) @ np.array([e.numerators for e in exprs], dtype=dtype)
+    return nums.ravel().tolist(), den * lcm
+
+
 def linear_combine(
     terms: Sequence[tuple[RationalLike, BellExpression]],
 ) -> BellExpression:
@@ -271,16 +292,8 @@ def linear_combine(
     integer matrix product over a common denominator."""
     if not terms:
         raise ValueError("linear_combine needs at least one term")
-    exprs = [expr for _, expr in terms]
-    _require_same_scenario(*exprs)
-    weights, den = _integers(weight for weight, _ in terms)
-    lcm = math.lcm(*(e.denominator for e in exprs))
-    scales = [w * (lcm // e.denominator) for w, e in zip(weights, exprs)]
-    # bounds every scale, every numerator and every sum of products
-    bound = max(1, sum(map(abs, scales))) * max(1, *(max(map(abs, e.numerators)) for e in exprs))
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    nums = np.array(scales, dtype=dtype) @ np.array([e.numerators for e in exprs], dtype=dtype)
-    return _exact(exprs[0].scenario, nums.tolist(), den * lcm)
+    weights, exprs = zip(*terms)
+    return _exact(exprs[0].scenario, *_combine([weights], exprs))
 
 
 def permute_parties(expr: BellExpression, order: Sequence[int]) -> BellExpression:

@@ -25,7 +25,6 @@ lifting of those images.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,9 +36,9 @@ from .expressions import (
     DeterministicStrategy,
     Scenario,
     SignedSettingMap,
+    _combine,
     _exact,
     _refuse_over_cap,
-    _require_same_scenario,
     apply_signed_setting_map,
     linear_combine,
     permute_parties,
@@ -63,6 +62,8 @@ class LiftDiagnostics:
 
 
 # Row j weighs the inputs into block j: (I+, I-) for lift2, (I0, I2, I3) for lift3.
+# The blocks, flat one after another, are the C-order coefficients of the output,
+# so one integer matrix product over a common denominator builds all of them.
 _HALF, _ZERO = Fraction(1, 2), Fraction(0)
 _LIFT2 = ((_HALF, _HALF), (_HALF, -_HALF))
 _LIFT3 = ((_ZERO, _HALF, _HALF), (_HALF, -_HALF, _ZERO), (_HALF, _ZERO, -_HALF))
@@ -79,11 +80,8 @@ def _lift(
     ``compatibility(*inputs)``, if given, runs whether or not ``diagnose`` is
     set, and only once the output is built, so the output's size cap is met first.
     """
-    _require_same_scenario(*inputs)
-    blocks = [linear_combine([(w, e) for w, e in zip(row, inputs) if w]) for row in weights]
-    den = math.lcm(*(b.denominator for b in blocks))
-    nums = [n * (den // b.denominator) for b in blocks for n in b.numerators]
-    out = _exact(Scenario((len(weights),) + inputs[0].scenario.settings), nums, den)
+    scenario = Scenario((len(weights),) + inputs[0].scenario.settings)
+    out = _exact(scenario, *_combine(weights, inputs))
     valid, witness = compatibility(*inputs) if compatibility else (None, None)
     inputs_tight = output_tight = None
     if diagnose:

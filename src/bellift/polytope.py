@@ -18,6 +18,10 @@ vertex has exactly one *canonical* strategy: outcome +1 at setting 0 for
 every party but the last.  It is the first strategy of its class in bit
 order.  Vertices are enumerated once each, as their canonical strategies in
 bit order, so vertex lists, maximizers and witnesses are deterministic.
+
+Each party's canonical outcome rows are built once per scenario and kept
+read-only.  The values of every canonical strategy come from one broadcast
+integer matrix product per party against those rows.
 """
 
 from __future__ import annotations
@@ -62,17 +66,26 @@ def _canonical_counts(scenario: Scenario) -> list[int]:
     return [2 ** (m - 1) for m in first] + [2**last]
 
 
-def _canonical_rows(scenario: Scenario) -> list[np.ndarray]:
+@lru_cache(maxsize=64)
+def _canonical_rows(scenario: Scenario) -> tuple[np.ndarray, ...]:
     """Each party's outcome rows over the canonical strategies, in bit order.
 
     Flat canonical id k is the C-order index into the grid of these rows,
-    one id per vertex.
+    one id per vertex.  The rows are built once per scenario and returned
+    read-only.  A table of more than ``ENUMERATION_CAP`` outcome entries
+    (sum over parties of 2^m_p * m_p) is refused unbuilt.
     """
     counts = _canonical_counts(scenario)
-    return [_outcome_patterns(m)[:k] for m, k in zip(scenario.settings, counts)]
+    size = sum(2**m * m for m in scenario.settings)
+    message = "scenario {s} has {size} outcome-row entries"
+    _refuse_over_cap(size, ENUMERATION_CAP, message, s=scenario)
+    rows = tuple(_outcome_patterns(m)[:k] for m, k in zip(scenario.settings, counts))
+    for party in rows:
+        party.setflags(write=False)
+    return rows
 
 
-def _vertices(rows: list[np.ndarray], ids: np.ndarray) -> np.ndarray:
+def _vertices(rows: tuple[np.ndarray, ...], ids: np.ndarray) -> np.ndarray:
     """Admissible vectors (rows) of the canonical strategies with flat ids ``ids``."""
     vecs = np.ones((len(ids), 1), dtype=np.int64)
     for party, picks in zip(rows, np.unravel_index(ids, [len(r) for r in rows])):
@@ -81,17 +94,19 @@ def _vertices(rows: list[np.ndarray], ids: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _vertex_values(expr: BellExpression) -> tuple[list[np.ndarray], np.ndarray]:
+def _vertex_values(expr: BellExpression) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Canonical rows and the integer values denominator * I(v), flat by canonical id."""
     rows = _canonical_rows(expr.scenario)
     # int64 is exact while the largest possible |value| fits; otherwise fall
     # back to Python big ints in an object array.
     dtype = np.int64 if sum(map(abs, expr.numerators)) < _INT64_SAFE else object
-    vals = np.array(expr.numerators, dtype=dtype).reshape(expr.scenario.settings)
+    vals = np.array(expr.numerators, dtype=dtype)
+    done = 1
     for party in rows:
-        # contract the leading party axis; its strategy axis lands at the end,
-        # so after one pass per party the axes are in party order again
-        vals = np.tensordot(vals, party.astype(dtype), axes=([0], [1]))
+        # (done, m_p, rest) -> (done, k_p, rest): the contracted settings give
+        # way to the party's strategies in place, so the axes stay in C order
+        vals = party.astype(dtype, copy=False) @ vals.reshape(done, party.shape[1], -1)
+        done *= party.shape[0]
     return rows, vals.reshape(-1)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -136,9 +137,9 @@ def make_state(
     """Named states used throughout the analysis.
 
     The names are ``STATE_NAMES``.  ``ghz`` and ``product-zeros`` take the
-    qubit count as ``param``; ``generalized-ghz`` takes the angle lambda in
-    radians, restricted to [0, pi/4]; ``custom`` takes a density matrix via
-    ``rho``.
+    integer qubit count as ``param``; ``generalized-ghz`` takes the angle
+    lambda in radians, restricted to [0, pi/4]; ``custom`` takes a density
+    matrix via ``rho``.
     """
     if name == "custom":
         if rho is None:
@@ -150,9 +151,9 @@ def make_state(
     if name in _KETS:
         return _ket_state(_KETS[name])
     if name in ("ghz", "product-zeros"):
-        if param is None or int(param) < 1:
+        n = None if param is None else operator.index(param)  # a float such as 2.7 raises
+        if n is None or n < 1:
             raise ValueError(f"{name} needs a positive qubit count")
-        n = int(param)
         _refuse_over_cap(4, ENUMERATION_CAP, _QUBIT_MATRIX, exponent=n)  # before the labels exist
         labels = ["0" * n, "1" * n] if name == "ghz" else ["0" * n]
         return _ket_state(dict.fromkeys(labels, 1))

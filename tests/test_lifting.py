@@ -73,17 +73,18 @@ def test_lift2_theorem_sample_both_directions():
     assert not tightness(lift2(weak, g, diagnose=False)[0]).is_tight
 
 
-def _random_inputs(count, seed):
-    """``count`` random rational expressions on the (2, 3) scenario."""
+def _random_inputs(count, seed, big=0):
+    """``count`` random rational expressions on the (2, 3) scenario.  A nonzero
+    ``big`` is added to the first coefficient and the second becomes 1/3, so
+    2^70 puts the lift's integer product past int64."""
     rng = random.Random(seed)
-    scenario = Scenario((2, 3))
-    return tuple(
-        BellExpression(
-            scenario,
-            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)),
-        )
-        for _ in range(count)
-    )
+    inputs = []
+    for _ in range(count):
+        coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)]
+        if big:
+            coeffs[:2] = [big + coeffs[0], Fraction(1, 3)]
+        inputs.append(BellExpression(Scenario((2, 3)), coeffs))
+    return tuple(inputs)
 
 
 def _flagship_triple():
@@ -98,6 +99,8 @@ def _flagship_triple():
         pytest.param(lambda: _random_inputs(2, seed=2), id="lift2-random"),
         pytest.param(_flagship_triple, id="lift3-wbz333"),
         pytest.param(lambda: _random_inputs(3, seed=3), id="lift3-random"),
+        pytest.param(lambda: _random_inputs(2, seed=4, big=2**70), id="lift2-big"),
+        pytest.param(lambda: _random_inputs(3, seed=5, big=2**70), id="lift3-big"),
     ],
 )
 def test_restriction_recovers_inputs(make_inputs):

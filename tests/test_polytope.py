@@ -20,6 +20,7 @@ from bellift import (
     enumerate_facets,
     evaluate,
     lift2,
+    linear_combine,
     lr_max,
     lr_max_with_witness,
     mabk,
@@ -70,6 +71,28 @@ def test_enumeration_cap(monkeypatch):
         lr_max(expr(Scenario((25,)), [((0,), 1)]))
 
 
+def test_outcome_row_table_is_sized_before_it_is_built(monkeypatch):
+    # (20,) has 2^20 strategies, inside the cap, but 2^20 * 20 outcome entries
+    def unreachable(m):
+        raise AssertionError("outcome rows were built")
+
+    monkeypatch.setattr(polytope, "_outcome_patterns", unreachable)
+    with pytest.raises(EnumerationCapExceeded, match="20971520 outcome-row entries"):
+        lr_max(expr(Scenario((20,)), [((0,), 1)]))
+
+
+@pytest.mark.parametrize("settings", [(1,), (2, 3), (2, 2, 2), (3, 1, 2)], ids=str)
+def test_cached_tables_are_read_only(settings):
+    """The outcome rows and vertex tables are shared across calls, so no
+    caller may write into them."""
+    scenario = Scenario(settings)
+    rows = polytope._canonical_rows(scenario)
+    assert polytope._canonical_rows(scenario) is rows
+    for table in (*rows, distinct_vertices(scenario)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+
+
 # ---------------------------------------------------------------------------
 # local-realistic bounds
 # ---------------------------------------------------------------------------
@@ -118,6 +141,14 @@ def test_lr_max_invariant_under_setting_relabelling(perm, signs):
 # ---------------------------------------------------------------------------
 # tightness
 # ---------------------------------------------------------------------------
+
+
+def _normalized_face(settings, i, j):
+    """(2^70 + 1) f + g over its maximum, for facets f and g: numerators past
+    2^62 that still reach exactly 1, on the vertices of f where g is largest."""
+    f, g = (enumerate_facets(Scenario(settings))[k] for k in (i, j))
+    e = linear_combine([(2**70 + 1, f), (1, g)])
+    return e.scaled(1 / max(evaluate(e, s) for s in enumerate_strategies(e.scenario)))
 
 
 def test_chsh_is_tight():
@@ -184,19 +215,29 @@ def test_tightness_sizes_the_saturating_rows_before_building_them(monkeypatch):
         mabk(3),
         mabk(4),
         enumerate_facets(Scenario((2, 2, 2)))[100],
+        # numerators past 2^62: strategy values are Python ints in object arrays
+        expr(Scenario((2, 2, 2)), [((0, 0, 0), 2**70 + 1), ((1, 1, 1), "1/3")]),
+        expr(Scenario((3, 2)), [((0, 0), -(2**70) - 1), ((2, 1), "1/3"), ((1, 0), 5)]),
+        _normalized_face((2, 2, 2), 0, 1),
+        _normalized_face((2, 2, 2), 7, 200),
+        _normalized_face((3, 3), 0, 5),
     ],
-    ids=["chsh", "e00", "loose", "wbz333", "mabk3", "mabk4", "facet222"],
+    ids=[
+        "chsh", "e00", "loose", "wbz333", "mabk3", "mabk4", "facet222",
+        "big-one-third", "big-negative", "big-face222", "big-ridge222", "big-face33",
+    ],
 )
 def test_tightness_against_float_oracle(e):
-    """Recollect saturating vertices independently and rank them in floats."""
+    """Recollect saturating vertices independently and rank them in floats;
+    the maximum and its witness are the first maximizer in enumeration order."""
     scenario = e.scenario
-    sat = []
-    for s in enumerate_strategies(scenario):
-        if evaluate(e, s) == 1:
-            sat.append(s.admissible_vector(scenario))
+    values = [(evaluate(e, s), s) for s in enumerate_strategies(scenario)]
+    best = max(v for v, _ in values)
+    assert lr_max_with_witness(e) == (best, next(s for v, s in values if v == best))
+    sat = [s.admissible_vector(scenario) for v, s in values if v == 1]
     sat = np.unique(np.array(sat, dtype=float), axis=0) if sat else np.empty((0, 0))
     rep = tightness(e)
-    assert rep.saturating_count == sat.shape[0]
+    assert (rep.lr_max, rep.saturating_count) == (best, sat.shape[0])
     assert rep.rank == (np.linalg.matrix_rank(sat, tol=1e-9) if sat.size else 0)
 
 

@@ -86,6 +86,17 @@ def test_make_state_domain_errors():
         make_state("custom")
 
 
+def test_qubit_counts_must_be_integers():
+    # a float count is refused rather than truncated (2.7 used to build 2 qubits);
+    # bellift corr-tensor --parties is covered by test_cli's per-state test
+    for name in ("ghz", "product-zeros"):
+        with pytest.raises(TypeError):
+            make_state(name, 2.7)
+        with pytest.raises(TypeError):
+            make_state(name, 3.0)
+        assert make_state(name, np.int64(3)).n == 3
+
+
 @pytest.mark.parametrize(
     "build, fragment",
     [
