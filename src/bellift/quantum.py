@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -238,7 +238,15 @@ def expectation(
     expr: BellExpression, settings: MeasurementSettings, state: QuantumState
 ) -> float:
     """Tr(rho B) for the Bell operator at the given settings."""
+    _require_one_qubit_per_party(expr.scenario, state)
     return float(np.vdot(bell_operator(expr, settings), state.rho).real)  # B is Hermitian
+
+
+def _require_one_qubit_per_party(scenario: Scenario, state: QuantumState) -> None:
+    if scenario.parties != state.n:
+        raise ValueError(
+            f"state has {state.n} qubits but the scenario has {scenario.parties} parties"
+        )
 
 
 @dataclass(frozen=True)
@@ -359,10 +367,14 @@ class SeesawConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "max_sweeps", "seed"):  # a float such as 2.5 raises
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_sweeps < 0:
             raise ValueError(f"max_sweeps must be non-negative, got {self.max_sweeps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
 
@@ -387,11 +399,6 @@ class SeesawResult:
     restarts: tuple[tuple[float, int, bool], ...]
 
 
-def _random_directions(rng: np.random.Generator, m: int) -> np.ndarray:
-    vecs = rng.normal(size=(m, 3))
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-
-
 def seesaw_maximize(
     expr: BellExpression,
     state: QuantumState,
@@ -404,21 +411,22 @@ def seesaw_maximize(
     the direction by W/|W| (kept unchanged when W = 0).  A restart sweeps
     until its improvement drops below ``tol`` or ``max_sweeps`` is hit; the
     search starts ``restarts`` times from random directions, each drawn from
-    its own RNG split from the master seed.  The restarts run as one batch:
-    a gradient is one contraction of the kernel ``coeffs x T`` (each party's
-    setting and Pauli axes fused into one) with the other parties' directions,
-    and the value is <W, u> of a gradient and its party's directions (party 0
-    before the first sweep, the last party after each); a restart leaves the
-    batch once it stops.  The earliest restart within ``_SEESAW_TIE_ROUNDOFF``
-    of the best value wins.  This is a heuristic for the true quantum
-    maximum: values are certified lower bounds only.
+    its own RNG split from the master seed.  The restarts run as one batch
+    over the kernel ``coeffs x T``, each party's setting and Pauli axes fused
+    into one.  A sweep takes the parties in pairs (p, p + 1), an odd last
+    party alone.  One contraction of the kernel with the other parties'
+    directions gives the pair's matrix M; W_p = M u_{p+1} updates party p,
+    then W_{p+1} = M^T u_p, from the new u_p, updates party p + 1, so the
+    parties update in order as if one at a time.  The value is <W, u> of a
+    gradient and its party's directions (party 0 before the first sweep, the
+    last party after each); a restart leaves the batch once it stops.  The
+    earliest restart within ``_SEESAW_TIE_ROUNDOFF`` of the best value wins.
+    This is a heuristic for the true quantum maximum: values are certified
+    lower bounds only.
     """
     cfg = config or SeesawConfig()
     scenario = expr.scenario
-    if scenario.parties != state.n:
-        raise ValueError(
-            f"state has {state.n} qubits but the scenario has {scenario.parties} parties"
-        )
+    _require_one_qubit_per_party(scenario, state)
     n = scenario.parties
     dims = [3 * m for m in scenario.settings]
     entries = math.prod(dims)
@@ -436,56 +444,78 @@ def seesaw_maximize(
     # kernel[(j_0, i_0), ..., (j_n-1, i_n-1)] = coeffs[j_0, ...] * corr[i_0, ...]
     fused = [ax for p in range(n) for ax in (p, n + p)]
     kernel = np.multiply.outer(coeffs, corr).transpose(fused).reshape(dims)
-    # kernels[p] has party p's axis first, so the others contract from the end
-    kernels = [np.ascontiguousarray(np.moveaxis(kernel, p, 0)) for p in range(n)]
+    plans = []  # (pair, the other parties, the pair's kernel copy)
+    for p in range(0, n, 2):
+        pair = tuple(range(p, min(p + 2, n)))
+        others = [q for q in range(n) if q not in pair]
+        # the party contracted first leads, so its product reads one contiguous matrix;
+        # the pair's axes follow, and the other parties contract from the end
+        axes = [*others[-1:], *pair, *others[:-1]]
+        plans.append((pair, others, np.ascontiguousarray(kernel.transpose(axes))))
 
-    def gradient(units: list[np.ndarray], p: int) -> np.ndarray:
-        """The kernel contracted with all directions but party p's: shape (batch, m_p, 3)."""
-        t = kernels[p]
-        batch, shape = len(units[0]), units[p].shape
-        others = [q for q in range(n) if q != p]
+    def pair_gradients(plan: tuple, units: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (p, W_p) for each party p of the plan's pair in turn.
+
+        The caller updates ``units[p]`` before taking the next one, which the
+        second party's W = M^T u_p then reads.
+        """
+        pair, others, t = plan
+        batch = len(units[0])
         if not others:
-            return np.broadcast_to(t.reshape(shape[1:]), shape)
-        q = others.pop()
-        t = units[q].reshape(batch, -1) @ t.reshape(-1, dims[q]).T
-        for q in reversed(others):
-            t = np.matmul(t.reshape(batch, -1, dims[q]), units[q].reshape(batch, -1, 1))
-        return t.reshape(shape)
+            t = np.broadcast_to(t, (batch, *t.shape))
+        else:
+            *rest, q = others
+            t = units[q].reshape(batch, -1) @ t.reshape(dims[q], -1)
+            for q in reversed(rest):
+                t = np.matmul(t.reshape(batch, -1, dims[q]), units[q].reshape(batch, -1, 1))
+        m = t.reshape(batch, *(dims[p] for p in pair))
+        if len(pair) == 1:
+            yield pair[0], m
+            return
+        p, q = pair
+        yield p, np.matmul(m, units[q].reshape(batch, -1, 1))
+        yield q, np.matmul(units[p].reshape(batch, 1, -1), m)
 
     restarts = cfg.restarts
+    # u[r] holds restart r's directions party after party; units[p] are views of party p's rows
+    cuts = np.cumsum(scenario.settings)[:-1]
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(restarts)]
-    draws = [[_random_directions(rng, m) for m in scenario.settings] for rng in rngs]
-    final = [np.stack([d[p] for d in draws]) for p in range(n)]
-    history = [(gradient(final, 0) * final[0]).sum(axis=(1, 2))]  # [s][r]: restart r after s sweeps
+    draws = np.stack([rng.normal(size=(sum(scenario.settings), 3)) for rng in rngs])
+    final = draws / np.linalg.norm(draws, axis=2, keepdims=True)
+    u = final.copy()
+    units = np.split(u, cuts, axis=1)
+    _, w = next(pair_gradients(plans[0], units))
+    # history[s][r] is restart r's value after s sweeps
+    history = [np.vecdot(w.reshape(restarts, -1), units[0].reshape(restarts, -1))]
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     active = np.arange(restarts)
-    units = [u.copy() for u in final]
     for sweep in range(1, cfg.max_sweeps + 1):
         if not active.size:
             break
-        for p in range(n):
-            w = gradient(units, p)
-            norms = np.sqrt(np.add.reduce(w * w, axis=2, keepdims=True))
-            np.divide(w, norms, out=units[p], where=norms != 0)  # W = 0 keeps the direction
-        values = history[-1].copy()
-        values[active] = (w * units[-1]).sum(axis=(1, 2))  # <W, u> of the last party
-        history.append(values)
-        done = values[active] - history[-2][active] < cfg.tol
-        converged[active[done]] = True
-        sweeps[active] = sweep
+        for plan in plans:
+            for p, w in pair_gradients(plan, units):
+                w = w.reshape(units[p].shape)
+                norms = np.sqrt(np.add.reduce(w * w, axis=2, keepdims=True))
+                np.divide(w, norms, out=units[p], where=norms != 0)  # W = 0 keeps the direction
+        now = np.vecdot(w.reshape(len(u), -1), units[-1].reshape(len(u), -1))  # <W, u>, last party
+        done = now - history[-1][active] < cfg.tol
+        history.append(history[-1].copy())
+        history[-1][active] = now
         stop = done | (sweep == cfg.max_sweeps)
         if stop.any():
-            for p in range(n):
-                final[p][active[stop]] = units[p][stop]
-                units[p] = units[p][~stop]
+            converged[active[done]] = True
+            sweeps[active[stop]] = sweep
+            final[active[stop]] = u[stop]
+            u = u[~stop]
+            units = np.split(u, cuts, axis=1)
             active = active[~stop]
 
     values = history[-1]
     best = int(np.flatnonzero(values >= values.max() - _SEESAW_TIE_ROUNDOFF)[0])
     return SeesawResult(
         value=float(values[best]),
-        settings=MeasurementSettings(tuple(u[best] for u in final)),
+        settings=MeasurementSettings(tuple(np.split(final[best], cuts))),
         converged=bool(converged[best]),
         scale=scale,
         trace=tuple(float(h[best]) for h in history[: sweeps[best] + 1]),

@@ -223,6 +223,19 @@ def test_violate_state_options(capsys, tmp_path):
     assert code == 1 and err.startswith("bellift: error:") and "tol" in err
 
 
+def test_violate_refuses_a_negative_seed_before_any_work(capsys, tmp_path, monkeypatch):
+    doc = write_doc(tmp_path, "fp.json", bellift.four_party_19())
+
+    def unreachable(*args):
+        raise AssertionError("the seed must be refused before the see-saw starts")
+
+    monkeypatch.setattr(bellift.quantum, "lr_max", unreachable)
+    monkeypatch.setattr(bellift.quantum, "correlation_tensor", unreachable)
+    for argv in (["violate", doc, "--state", "ghz4"], ["reproduce"]):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 1 and out == "" and err.startswith("bellift: error: seed")
+
+
 def test_oversized_states_exit_with_the_cap_code(capsys, tmp_path):
     chsh = write_doc(tmp_path, "chsh.json", mabk(2))
     code, _, err = run(capsys, "violate", chsh, "--state", "ghz", "--parties", "40")

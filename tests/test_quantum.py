@@ -23,6 +23,7 @@ from bellift import (
     correlation_tensor,
     expectation,
     four_party_19,
+    lift2,
     lr_max,
     mabk,
     mabk_optimal_settings,
@@ -31,6 +32,8 @@ from bellift import (
     seesaw_maximize,
     spectrum,
     sum_squared_correlations,
+    symmetry_images,
+    wbz333,
 )
 
 CHSH = mabk(2)
@@ -533,6 +536,15 @@ def test_seesaw_rejects_party_mismatch():
         seesaw_maximize(CHSH, make_state("ghz4"))
 
 
+def test_expectation_rejects_party_mismatch():
+    # without the check, B of mabk(3) (64 x 64) met a 256 x 256 rho in a reshape
+    message = "state has 4 qubits but the scenario has 3 parties"
+    with pytest.raises(ValueError, match=message):
+        expectation(mabk(3), mabk_optimal_settings(3), make_state("ghz4"))
+    with pytest.raises(ValueError, match=message):
+        seesaw_maximize(mabk(3), make_state("ghz4"))
+
+
 def test_seesaw_never_exceeds_top_eigenvalue():
     fp = four_party_19()
     state = make_state("w4")
@@ -617,10 +629,22 @@ def _weak_mixed_state():
     return make_state("custom", rho=p * rho_pure + (1 - p) * np.eye(16) / 16)
 
 
-@pytest.mark.parametrize("name", ["chi", "w4", "weak-mixed"])
+# four_party_19 pairs its four parties fully; the rest cover one pair with
+# nothing left to contract, a lone last party (odd n) and uneven settings
+_ORACLE_CASES = {
+    "chi": lambda: (four_party_19(), make_state("chi")),
+    "w4": lambda: (four_party_19(), make_state("w4")),
+    "weak-mixed": lambda: (four_party_19(), _weak_mixed_state()),
+    "mabk2-ghz2": lambda: (mabk(2), make_state("ghz", 2)),
+    "mabk3-ghz3": lambda: (mabk(3), make_state("ghz", 3)),
+    "mabk5-ghz5": lambda: (mabk(5), make_state("ghz", 5)),
+    "lift2-2333-chi": lambda: (lift2(wbz333(), symmetry_images()[0])[0], make_state("chi")),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
 def test_seesaw_batch_matches_the_per_restart_oracle(name):
-    fp = four_party_19()
-    state = _weak_mixed_state() if name == "weak-mixed" else make_state(name)
+    fp, state = _ORACLE_CASES[name]()
     cfg = SeesawConfig(restarts=8, seed=0)
     res = seesaw_maximize(fp, state, cfg)
     oracle = _seesaw_oracle(fp, state, cfg)
@@ -708,11 +732,24 @@ def test_seesaw_ties_keep_the_earliest_restart():
         {"tol": -1e-10},
         {"tol": math.nan},
         {"tol": math.inf},
+        {"seed": -1},
     ],
 )
 def test_seesaw_config_rejects_invalid_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         SeesawConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": 2.5}, {"max_sweeps": 10.0}, {"seed": "1"}])
+def test_seesaw_config_refuses_non_integer_counts(kwargs):
+    with pytest.raises(TypeError):
+        SeesawConfig(**kwargs)
+
+
+def test_seesaw_config_keeps_python_ints():
+    cfg = SeesawConfig(restarts=np.int64(3), max_sweeps=np.uint8(7), seed=np.int32(2))
+    assert (cfg.restarts, cfg.max_sweeps, cfg.seed) == (3, 7, 2)
+    assert all(type(v) is int for v in (cfg.restarts, cfg.max_sweeps, cfg.seed))
 
 
 def test_seesaw_batch_cap_refuses_before_allocating():
