@@ -23,10 +23,16 @@ parse-then-serialize canonicalizes.
 from __future__ import annotations
 
 import json
+import math
+import re
+import sys
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
-from .expressions import BellExpression, Scenario
+import numpy as np
+
+from .expressions import BellExpression, Scenario, _exact, _refuse_over_cap, _require_exact_size
 
 __all__ = ["DocumentError", "parse_expression", "serialize_expression"]
 
@@ -44,7 +50,23 @@ def _parse_settings(raw: Any) -> Scenario:
     return Scenario(tuple(raw))
 
 
+# A decimal coefficient's mantissa (no '/', no trailing space) and exponent,
+# spelled as Fraction reads them; the mantissa itself is checked by Fraction.
+_DECIMAL_EXPONENT = re.compile(r"([^/]*[^/\s])e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
+
+
 def _parse_coefficient(raw: Any, label: str) -> Fraction:
+    if isinstance(raw, str):
+        try:
+            decimal = _DECIMAL_EXPONENT.fullmatch(raw)
+            if decimal:  # refuse 10**exponent beyond Python's digit limit on int literals
+                Fraction(decimal[1])  # a malformed mantissa is still reported as malformed
+                limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+                message = "{label}: coefficient {raw!r} has a decimal exponent of {size}"
+                _refuse_over_cap(abs(int(decimal[2])), limit, message, label=label, raw=raw)
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(f"{label}: malformed rational {raw!r} ({exc})") from None
     # bool is an int subclass, so rule it out first
     if isinstance(raw, bool) or isinstance(raw, float):
         raise DocumentError(
@@ -52,11 +74,6 @@ def _parse_coefficient(raw: Any, label: str) -> Fraction:
         )
     if isinstance(raw, int):
         return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"{label}: malformed rational {raw!r} ({exc})") from None
     raise DocumentError(f"{label}: malformed rational {raw!r}")
 
 
@@ -79,8 +96,9 @@ def parse_expression(document: str | Mapping[str, Any]) -> BellExpression:
     terms_raw = document.get("terms", [])
     if not isinstance(terms_raw, list):
         raise DocumentError("'terms' must be a list")
+    _require_exact_size(scenario)  # before any coefficient is read
     seen: dict[tuple[int, ...], int] = {}
-    terms: list[tuple[tuple[int, ...], Fraction]] = []
+    coefficients: list[Fraction] = []
     for i, term in enumerate(terms_raw):
         label = f"term {i}"
         if not isinstance(term, Mapping):
@@ -105,18 +123,30 @@ def parse_expression(document: str | Mapping[str, Any]) -> BellExpression:
                 f"{label}: duplicate setting tuple {list(s)} (first seen at term {seen[s]})"
             )
         seen[s] = i
-        terms.append((s, _parse_coefficient(term.get("c"), label)))
-    return BellExpression.from_terms(scenario, terms)
+        coefficients.append(_parse_coefficient(term.get("c"), label))
+    # the numerators over the lcm of the denominators, written into place
+    den = math.lcm(*(c.denominator for c in coefficients))
+    nums = [0] * scenario.dimension
+    tuples = np.array(list(seen), dtype=np.intp).reshape(-1, scenario.parties)
+    for place, c in zip(np.ravel_multi_index(tuples.T, scenario.settings).tolist(), coefficients):
+        nums[place] = c.numerator * (den // c.denominator)
+    return _exact(scenario, nums, den)
 
 
 def serialize_expression(
     expr: BellExpression, metadata: Mapping[str, Any] | None = None
 ) -> dict[str, Any]:
-    """Expression as a JSON-ready dict: non-zero terms only, sorted by tuple."""
-    doc: dict[str, Any] = {
-        "settings": list(expr.scenario.settings),
-        "terms": [{"s": list(s), "c": str(c)} for s, c in sorted(expr.terms())],
-    }
+    """Expression as a JSON-ready dict: non-zero terms only, sorted by tuple.
+
+    Each coefficient is written as ``str(Fraction)`` writes it ("1/2", "-1/2",
+    "3"), reduced by one gcd of its numerator and the denominator.
+    """
+    den, terms = expr.denominator, []
+    for s, n in zip(expr.scenario.index_tuples(), expr.numerators):
+        if n:
+            g = math.gcd(n, den)
+            terms.append({"s": list(s), "c": f"{n // g}" if g == den else f"{n // g}/{den // g}"})
+    doc: dict[str, Any] = {"settings": list(expr.scenario.settings), "terms": terms}
     if metadata:
         doc["metadata"] = dict(metadata)
     return doc

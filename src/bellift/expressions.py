@@ -20,6 +20,7 @@ Data conventions used throughout the package:
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import math
@@ -78,6 +79,9 @@ def _as_fraction(value: RationalLike) -> Fraction:
 
 def _integers(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     """Exact rationals as integer numerators over the lcm of their denominators."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
     fracs = [_as_fraction(v) for v in values]
     den = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
@@ -246,7 +250,9 @@ def _exact(scenario: Scenario, numerators: Sequence[int], denominator: int) -> B
     g = math.gcd(denominator, *numerators)
     expr = object.__new__(BellExpression)
     object.__setattr__(expr, "scenario", scenario)
-    object.__setattr__(expr, "numerators", tuple(n // g for n in numerators))
+    object.__setattr__(
+        expr, "numerators", tuple(numerators if g == 1 else (n // g for n in numerators))
+    )
     object.__setattr__(expr, "denominator", denominator // g)
     return expr
 
@@ -297,12 +303,16 @@ def linear_combine(
 
 
 def permute_parties(expr: BellExpression, order: Sequence[int]) -> BellExpression:
-    """Relabel parties: new party k is old party ``order[k]``."""
+    """Relabel parties: new party k is old party ``order[k]``.  This is one
+    gather of the numerators by a compiled source index, every sign +1."""
     settings = expr.scenario.settings
     if sorted(order) != list(range(len(settings))):
         raise ValueError(f"order {tuple(order)} is not a permutation of the parties")
-    nums = np.array(expr.numerators, dtype=object).reshape(settings).transpose(order)
-    return _exact(Scenario(nums.shape), nums.ravel().tolist(), expr.denominator)
+    if any(isinstance(k, bool) for k in order):
+        raise TypeError(f"order {tuple(order)} must hold integers, not bools")
+    order = tuple(map(operator.index, order))  # refuses floats
+    identity = tuple(map(range, settings)), tuple((1,) * m for m in settings)
+    return _relabel(expr, Scenario(tuple(settings[q] for q in order)), order, *identity)
 
 
 @dataclass(frozen=True)
@@ -351,12 +361,45 @@ def apply_signed_setting_map(
     """Substitute settings according to the map.
 
     The coefficient at the image index picks up the product of the applied
-    signs: ``new[perm(idx)] = prod_p signs[p][idx_p] * old[idx]``.
+    signs: ``new[perm(idx)] = prod_p signs[p][idx_p] * old[idx]``.  The map is
+    compiled to one (source index, sign) pair, so applying it is one gather
+    of the numerators and one multiply.
     """
     scenario = expr.scenario
     if tuple(len(p) for p in mapping.permutations) != scenario.settings:
         raise ValueError(f"map shape does not match scenario {scenario}")
-    old = np.array(expr.numerators, dtype=object).reshape(scenario.settings)
-    new = np.empty_like(old)
-    new[np.ix_(*mapping.permutations)] = old * functools.reduce(np.multiply.outer, mapping.signs)
-    return _exact(scenario, new.ravel().tolist(), expr.denominator)
+    return _relabel(expr, scenario, range(scenario.parties), mapping.permutations, mapping.signs)
+
+
+@functools.lru_cache(maxsize=64)
+def _gather(
+    settings: tuple[int, ...], order: Sequence[int], permutations: tuple, signs: tuple
+) -> tuple[memoryview, memoryview]:
+    """A relabelling of ``settings`` compiled to one flat (source index, sign)
+    pair: ``new[j] = sign[j] * old[index[j]]`` over the C-order numerators.
+
+    New party k is old party ``q = order[k]``, whose old setting i becomes
+    setting ``permutations[q][i]`` with sign ``signs[q][i]``.  The pair is
+    stored read-only as 8-byte and 1-byte machine integers, 9 bytes per
+    coefficient; an expression has at most 2^16 coefficients, so the cache
+    holds at most 64 x 2^16 x 9 bytes = 36 MiB.
+    """
+    strides = [math.prod(settings[q + 1 :]) for q in range(len(settings))]
+    index, sign = [0], [1]
+    for q in order:
+        perm, flips, stride = permutations[q], signs[q], strides[q]
+        source = sorted(range(len(perm)), key=perm.__getitem__)  # new j is old source[j]
+        index = [a + stride * i for a in index for i in source]
+        sign = [b * flips[i] for b in sign for i in source]
+    return (
+        memoryview(array.array("q", index)).toreadonly(),
+        memoryview(array.array("b", sign)).toreadonly(),
+    )
+
+
+def _relabel(expr: BellExpression, scenario: Scenario, *relabelling: Sequence) -> BellExpression:
+    """``expr`` relabelled onto ``scenario``: one gather of its numerators by
+    the pair that ``_gather`` compiles from ``relabelling``, one multiply each."""
+    index, sign = _gather(expr.scenario.settings, *relabelling)
+    nums = expr.numerators
+    return _exact(scenario, [nums[i] * s for i, s in zip(index, sign)], expr.denominator)

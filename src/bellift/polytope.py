@@ -115,7 +115,7 @@ def lr_max_with_witness(expr: BellExpression) -> tuple[Fraction, DeterministicSt
     rows, vals = _vertex_values(expr)
     best = int(np.argmax(vals))
     picks = np.unravel_index(best, [len(r) for r in rows])
-    witness = DeterministicStrategy(tuple(party[i] for party, i in zip(rows, picks)))
+    witness = DeterministicStrategy(tuple(party[i].tolist() for party, i in zip(rows, picks)))
     return Fraction(int(vals[best]), expr.denominator), witness
 
 

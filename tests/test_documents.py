@@ -1,10 +1,21 @@
 """Expression document parsing, canonicalization, and error messages."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
-from bellift import BellExpression, Scenario, mabk
+from bellift import (
+    BellExpression,
+    EnumerationCapExceeded,
+    Scenario,
+    enumerate_facets,
+    four_party_19,
+    mabk,
+    wbz333,
+)
+from bellift.cli import main
 from bellift.documents import DocumentError, parse_expression, serialize_expression
 
 CHSH_DOC = {
@@ -29,9 +40,53 @@ def test_zero_and_empty():
     assert serialize_expression(e) == {"settings": [1], "terms": []}
 
 
-def test_roundtrip_is_identity():
-    e = mabk(3)
-    assert parse_expression(serialize_expression(e)) == e
+@pytest.mark.parametrize(
+    "exprs",
+    [
+        lambda: [mabk(3)],
+        lambda: [wbz333()],
+        lambda: [four_party_19()],
+        lambda: enumerate_facets(Scenario((2, 2, 2))),
+        # a numerator beyond int64 over the mixed denominators 3 and 8
+        lambda: [BellExpression(Scenario((2, 2)), [2**70, Fraction(1, 3), Fraction(-5, 8), 0])],
+        lambda: [BellExpression.zero(Scenario((3, 2)))],
+    ],
+    ids=["mabk3", "wbz333", "four-party-19", "facets-222", "big-mixed", "zero"],
+)
+def test_roundtrip_is_identity(exprs):
+    exprs = exprs()
+    for e in exprs:
+        doc = json.loads(json.dumps(serialize_expression(e)))
+        assert parse_expression(doc) == e
+        assert doc["terms"] == [{"s": list(s), "c": str(c)} for s, c in e.terms()]
+
+
+def test_coefficient_text_is_that_of_fraction():
+    assert [t["c"] for t in serialize_expression(mabk(2))["terms"]] == ["1/2"] * 3 + ["-1/2"]
+    e = BellExpression(Scenario((2,)), [3, "-7/1"])
+    assert [t["c"] for t in serialize_expression(e)["terms"]] == ["3", "-7"]
+
+
+def test_decimal_coefficients_parse_as_fractions():
+    for raw in ("1e400", "-1.5e-3", "1E+2", " 2_5e-0_1 "):
+        e = parse_expression({"settings": [1], "terms": [{"s": [0], "c": raw}]})
+        assert e.coeff((0,)) == Fraction(raw)
+
+
+def test_huge_decimal_exponents_are_refused_at_once(capsys, tmp_path):
+    doc = {"settings": [1], "terms": [{"s": [0], "c": "1e10000000"}]}
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapExceeded, match="decimal exponent of 10000000"):
+        parse_expression(doc)
+    assert time.perf_counter() - start < 0.5  # building 10**10000000 takes seconds
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["lr-bound", str(path)]) == 2
+    assert "cap" in capsys.readouterr().err
+    # a malformed mantissa or exponent is still reported as malformed
+    for raw in ("x1e99999", "1/2e99999", "1.5 e99999", "1e" + "9" * 5000):
+        with pytest.raises(DocumentError, match="malformed"):
+            parse_expression({"settings": [1], "terms": [{"s": [0], "c": raw}]})
 
 
 def test_serialize_canonicalizes():

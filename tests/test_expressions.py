@@ -22,8 +22,12 @@ from bellift import (
     SignedSettingMap,
     apply_signed_setting_map,
     evaluate,
+    four_party_19,
+    lift2,
     linear_combine,
     permute_parties,
+    symmetry_images,
+    wbz333,
 )
 from oracles import enumerate_strategies
 
@@ -98,8 +102,13 @@ def test_strategy_validation():
         lambda: Scenario(("3", 2)),
         lambda: DeterministicStrategy(((1.5, -1),)),
         lambda: SignedSettingMap(((1.9, 0),), ((1, 1),)),
+        lambda: permute_parties(CHSH, (1.0, 0.0)),
+        lambda: permute_parties(CHSH, (True, False)),
     ],
-    ids=["scenario-float", "scenario-string", "strategy-float", "map-float"],
+    ids=[
+        "scenario-float", "scenario-string", "strategy-float", "map-float", "order-float",
+        "order-bool",
+    ],
 )
 def test_integer_fields_refuse_non_integers(build):
     with pytest.raises(TypeError):  # not truncated (2.7 -> 2) or parsed ("3" -> 3)
@@ -114,6 +123,7 @@ def test_integer_fields_take_numpy_integers():
     assert (mapping.permutations, mapping.signs) == (((1, 0),), ((1, -1),))
     fields = [*s.settings, *strategy.outcomes[0], *mapping.permutations[0], *mapping.signs[0]]
     assert all(type(v) is int for v in fields)
+    assert permute_parties(CHSH, np.array([1, 0])) == permute_parties(CHSH, (1, 0))
 
 
 def test_admissible_vector_is_outer_product():
@@ -346,6 +356,13 @@ rational_st = st.one_of(
 )
 
 
+def random_map(data, settings_):
+    return SignedSettingMap(
+        [data.draw(st.permutations(range(m))) for m in settings_],
+        [data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m)) for m in settings_],
+    )
+
+
 def test_the_stored_form_is_reduced():
     half = BellExpression(TWO, ["2/4", 0, 0, "-6/4"])
     assert (half.numerators, half.denominator) == ((1, 0, 0, -3), 2)
@@ -373,10 +390,7 @@ def test_integer_operations_match_the_fraction_oracles(data):
     factors = [data.draw(st.lists(rational_st, min_size=m, max_size=m)) for m in settings_]
     scale = data.draw(rational_st)
     order = data.draw(st.permutations(range(len(settings_))))
-    mapping = SignedSettingMap(
-        [data.draw(st.permutations(range(m))) for m in settings_],
-        [data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m)) for m in settings_],
-    )
+    mapping = random_map(data, settings_)
     cases = [
         (linear_combine(terms), BellExpression(scenario, combine_oracle(terms))),
         (a + b, BellExpression(scenario, combine_oracle([(1, a), (1, b)]))),
@@ -398,3 +412,18 @@ def test_integer_operations_match_the_fraction_oracles(data):
     )
     vertex = strategy.admissible_vector(scenario)
     assert evaluate(a, strategy) == sum(c * v for c, v in zip(a.coeffs, vertex))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_relabellings_match_the_oracles_on_four_parties(data):
+    lifted = lift2(wbz333(), symmetry_images()[0], diagnose=False)[0]  # (2,3,3,3)
+    for expr in (four_party_19(), lifted):
+        settings_ = expr.scenario.settings
+        order = data.draw(st.permutations(range(len(settings_))))
+        mapping = random_map(data, settings_)
+        assert permute_parties(expr, order) == permute_oracle(expr, order)
+        assert apply_signed_setting_map(expr, mapping) == signed_map_oracle(expr, mapping)
+    mapping = random_map(data, lifted.scenario.settings)
+    there = apply_signed_setting_map(lifted, mapping)
+    assert apply_signed_setting_map(there, inverse(mapping)) == lifted
