@@ -283,12 +283,18 @@ def _combine(
         [w * (lcm // e.denominator) for w, e in zip(weights[i : i + k], exprs)]
         for i in range(0, len(weights), k)
     ]
+    rows = [e.numerators for e in exprs]
+    try:  # the peak |numerator| in one pass; as uint64, |-2^63| = 2^63 stays exact
+        nums = np.array(rows, dtype=np.int64)
+        peak = int(np.abs(nums).view(np.uint64).max())
+    except OverflowError:
+        peak = _INT64_SAFE
     # bounds every scale, every numerator and every sum of products
-    widest = max(1, *(sum(map(abs, row)) for row in scales))
-    bound = widest * max(1, *(max(map(abs, e.numerators)) for e in exprs))
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    nums = np.array(scales, dtype=dtype) @ np.array([e.numerators for e in exprs], dtype=dtype)
-    return nums.ravel().tolist(), den * lcm
+    if max(1, *(sum(map(abs, row)) for row in scales)) * max(peak, 1) < _INT64_SAFE:
+        out = np.array(scales, dtype=np.int64) @ nums
+    else:
+        out = np.array(scales, dtype=object) @ np.array(rows, dtype=object)
+    return out.ravel().tolist(), den * lcm
 
 
 def linear_combine(

@@ -5,10 +5,11 @@ all deterministic strategies.  Everything here is exact and stays in
 ``int``/``Fraction`` arithmetic: strategy values are integers over the
 expression's one denominator, the local-realistic maximum is returned as a
 Fraction, saturation means value exactly 1, ranks come from
-``rational_linalg`` (an integer inverse witness of a nonsingular Gram matrix
-certifies a wide matrix, anything else falls back to the fraction-free
-elimination), and the facet enumeration is an integer double description
-whose rays never leave int64.
+``rational_linalg`` (strict diagonal dominance of the Gram matrix certifies
+full rank at every width, an integer inverse witness only past 16 columns,
+and anything else falls back to the fraction-free elimination), and the
+facet enumeration is an integer double description whose rays never leave
+int64.
 
 Strategies are taken in *bit order*: strategy k is the one whose
 concatenated outcome bits (party-major, setting-major; bit 0 encodes
@@ -88,9 +89,11 @@ def _canonical_rows(scenario: Scenario) -> tuple[np.ndarray, ...]:
 def _vertices(rows: tuple[np.ndarray, ...], ids: np.ndarray) -> np.ndarray:
     """Admissible vectors (rows) of the canonical strategies with flat ids ``ids``."""
     vecs = np.ones((len(ids), 1), dtype=np.int64)
-    for party, picks in zip(rows, np.unravel_index(ids, [len(r) for r in rows])):
-        width = vecs.shape[1] * party.shape[1]
-        vecs = (vecs[:, :, None] * party[picks][:, None, :]).reshape(len(ids), width)
+    picks = np.unravel_index(ids, [len(r) for r in rows])
+    # last party first, so the broadcast's inner axis is the growing block
+    for party, pick in zip(reversed(rows), reversed(picks)):
+        width = party.shape[1] * vecs.shape[1]
+        vecs = (party[pick][:, :, None] * vecs[:, None, :]).reshape(len(ids), width)
     return vecs
 
 

@@ -6,13 +6,16 @@ certified more cheaply, and integer matrices never leave integer arithmetic.
 Pivots are the first nonzero entry in column order, so the computation is
 deterministic for a given row order.
 
-A matrix A of more than 16 columns is first tried for full rank on the Gram
-matrix G of its short side (A^T A if A is tall, A A^T if wide): over Q,
-rank(G) = rank(A).  G is one float64 matmul while (long side) * max|a|^2 <
-2^53, where every partial sum is an integer that float64 holds exactly.
-The float inverse of G only proposes a witness X; int64 arithmetic alone
-proves G X, hence G, nonsingular (``_full_rank_witness``).  Where G is past
-float64 or the witness fails its check, Bareiss on A decides.
+Every matrix A is first tried for full rank on the Gram matrix G of its
+short side (A^T A if A is tall, A A^T if wide): over Q, rank(G) = rank(A).
+G is one float64 matmul while (long side) * max|a|^2 < 2^53, where every
+partial sum is an integer that float64 holds exactly.  If G is strictly
+diagonally dominant (2|g_ii| > sum_j |g_ij| on every row, exact integers),
+it is nonsingular (Levy-Desplanques), so A has full rank.  Otherwise, and
+only for A wider than 16 columns, the float inverse of G proposes a witness
+X; int64 arithmetic alone proves G X, hence G, nonsingular
+(``_full_rank_witness``).  Where G is past float64 or neither certificate
+holds, Bareiss on A decides.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-_BAREISS_MAX_COLS = 16  # up to this width Bareiss beats the inverse witness
+# up to this width Bareiss beats the inverse witness; dominance is tried at every width
+_BAREISS_MAX_COLS = 16
 _FLOAT_EXACT = 2**53  # float64 holds every integer up to this exactly
 _INT64_ROOM = 2**62  # int64 bound on the witness's entries: half its range
 
@@ -65,18 +69,28 @@ def _gram(a: np.ndarray) -> np.ndarray | None:
 
 
 def _full_rank_witness(a: np.ndarray) -> bool:
-    """Whether an integer witness proves that ``a`` has full rank min(rows, cols).
+    """Whether an exact certificate proves that ``a`` has full rank min(rows, cols).
 
-    The float inverse of the Gram matrix G proposes X = round(2^k G^-1); the
-    proof is integer arithmetic alone.  With R = 2^k I - G X computed exactly
-    and max_i sum_j |R_ij| < 2^k, G X = 2^k (I - R / 2^k) is nonsingular, so
-    G is, and rank(a) = rank(G) is full.  False means "not certified" only.
+    First strict diagonal dominance of the Gram matrix G, which makes G
+    nonsingular.  Failing that, for ``a`` wider than ``_BAREISS_MAX_COLS``,
+    the float inverse of G proposes X = round(2^k G^-1); the proof is integer
+    arithmetic alone.  With R = 2^k I - G X computed exactly and
+    max_i sum_j |R_ij| < 2^k, G X = 2^k (I - R / 2^k) is nonsingular, so G
+    is, and rank(a) = rank(G) is full.  False means "not certified" only.
     """
     g = _gram(a)
-    # row sums of |G| stay exact, and each limb of X below gets 10 bits or more
-    if g is None or len(g) * np.abs(g).max(initial=0) > _FLOAT_EXACT >> 10:
+    if g is None:
         return False
-    n, norm = len(g), max(int(np.abs(g).sum(axis=1).max(initial=0)), 1)  # ||G||_inf
+    mag = np.abs(g)
+    # row sums of |G| stay exact, and each limb of X below gets 10 bits or more
+    if len(g) * mag.max(initial=0) > _FLOAT_EXACT >> 10:
+        return False
+    sums = mag.sum(axis=1)
+    if (2 * mag.diagonal() > sums).all():  # strictly dominant: nonsingular
+        return True
+    if a.shape[1] <= _BAREISS_MAX_COLS:
+        return False
+    n, norm = len(g), max(int(sums.max(initial=0)), 1)  # ||G||_inf
     scale = 1 << (norm << 10).bit_length()  # 2^k: rounding X moves G X by < 2^-11 of it
     try:
         x = np.linalg.inv(g)
@@ -117,7 +131,6 @@ def _matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
 def integer_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
     """Exact rank over Q of a matrix with integer entries."""
     a = _matrix(rows)
-    full = min(a.shape)
-    if a.shape[1] > _BAREISS_MAX_COLS and _full_rank_witness(a):
-        return full
+    if _full_rank_witness(a):
+        return min(a.shape)
     return _eliminate(a.tolist())

@@ -185,6 +185,15 @@ def test_linear_combine():
         linear_combine([])
 
 
+@pytest.mark.parametrize("peak", [2**62 - 1, 2**62, 2**63 - 1, -(2**63), 2**63])
+def test_linear_combine_is_exact_at_the_int64_edges(peak):
+    """The int64/object decision on both sides of 2^62 and past int64; the
+    absolute value of -2^63 does not fit int64."""
+    e, f = BellExpression(TWO, [peak, -1, 1, 0]), BellExpression(TWO, [1, 2, 3, 4])
+    for terms in ([(-1, e)], [(1, e), (1, f)], [(2, e), (-1, f)]):
+        assert linear_combine(terms) == BellExpression(TWO, combine_oracle(terms))
+
+
 def test_permute_parties_transports_coefficients():
     e = BellExpression.from_terms(Scenario((2, 3)), [((1, 2), 1)])
     p = permute_parties(e, (1, 0))

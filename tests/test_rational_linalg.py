@@ -1,5 +1,6 @@
-"""Fraction-free rank against a floating oracle, and the integer inverse
-witness of full rank against Bareiss."""
+"""Fraction-free rank against a floating oracle, and the certificates of
+full rank (Gram diagonal dominance, the integer inverse witness) against
+Bareiss."""
 
 import math
 import re
@@ -13,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellift import rational_linalg
-from bellift.lifting import four_party_19, mabk
-from bellift.polytope import distinct_vertices, tightness
+from bellift.expressions import Scenario
+from bellift.lifting import four_party_19, mabk, wbz333
+from bellift.polytope import distinct_vertices, enumerate_facets, tightness
 from bellift.rational_linalg import _eliminate, integer_rank
 
 
@@ -56,7 +58,8 @@ def test_ragged_rows_are_refused(rows, lengths):
 
 
 # ---------------------------------------------------------------------------
-# the inverse witness (more than 16 columns) and its Bareiss fallback
+# Gram dominance (every width), then the inverse witness (more than 16
+# columns), then the Bareiss fallback
 # ---------------------------------------------------------------------------
 
 
@@ -67,6 +70,10 @@ def _bareiss_rank(m) -> int:
 
 def _unreachable(m):
     raise AssertionError("Bareiss fallback taken")
+
+
+def _no_inverse(g):
+    raise AssertionError("float inverse proposed")
 
 
 def test_full_rank_over_q_but_not_mod_p_falls_back():
@@ -168,11 +175,47 @@ def test_int64_min_is_not_a_small_entry():
 
 
 def test_narrow_matrices_stay_on_bareiss(monkeypatch):
-    def unreachable(a):
-        raise AssertionError("witness tried at 16 columns")
+    """No inverse at 16 columns or fewer: dominance certifies the identity,
+    and Bareiss decides the full-rank but non-dominant I - strict upper ones."""
+    eliminated = []
 
-    monkeypatch.setattr(rational_linalg, "_full_rank_witness", unreachable)
-    assert integer_rank(np.eye(16, dtype=int).tolist()) == 16
+    def recorded(m):
+        eliminated.append(len(m[0]))
+        return _eliminate(m)
+
+    monkeypatch.setattr(np.linalg, "inv", _no_inverse)
+    monkeypatch.setattr(rational_linalg, "_eliminate", recorded)
+    eye = np.eye(16, dtype=np.int64)
+    assert rational_linalg._full_rank_witness(eye)
+    assert integer_rank(eye.tolist()) == 16
+    a = eye - np.triu(np.ones((16, 16), dtype=np.int64), 1)
+    assert not rational_linalg._full_rank_witness(a)
+    assert integer_rank(a) == 16
+    assert eliminated == [16]  # the identity never reached Bareiss
+
+
+def test_dominance_is_strict():
+    """[[1, 1], [1, 1]] has G = [[2, 2], [2, 2]]: each row meets the bound
+    with equality, and G is singular.  So is a duplicated column at 17."""
+    ones = np.ones((2, 2), dtype=np.int64)
+    assert not rational_linalg._full_rank_witness(ones)
+    assert integer_rank(ones) == integer_rank(ones.tolist()) == 1
+    dup = np.eye(17, dtype=np.int64)
+    dup[:, 16] = dup[:, 0]  # G rows 0 and 16: 2 * 1 = 1 + 1
+    assert not rational_linalg._full_rank_witness(dup)
+    assert integer_rank(dup) == _bareiss_rank(dup) == 16
+
+
+def test_facets_are_certified_by_dominance_alone(monkeypatch):
+    """Every facet's saturating Gram matrix is diagonal: neither an inverse
+    nor an elimination is needed to certify it."""
+    exprs = [f for s in ((2, 2), (2, 3), (2, 2, 2), (3, 3)) for f in enumerate_facets(Scenario(s))]
+    exprs += [wbz333(), four_party_19(), *(mabk(n) for n in range(3, 10))]
+    monkeypatch.setattr(rational_linalg, "_eliminate", _unreachable)
+    monkeypatch.setattr(np.linalg, "inv", _no_inverse)
+    for expr in exprs:
+        rep = tightness.__wrapped__(expr)
+        assert rep.is_tight and rep.rank == expr.scenario.dimension
 
 
 def test_four_party_facet_is_certified_without_bareiss(monkeypatch):
