@@ -87,7 +87,7 @@ def parse_expression(document: str | Mapping[str, Any]) -> BellExpression:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a number past int's digit limit
             raise DocumentError(f"not valid JSON: {exc}") from None
     if not isinstance(document, Mapping):
         raise DocumentError("document must be a JSON object")

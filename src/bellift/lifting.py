@@ -107,9 +107,10 @@ def compatibility_holds(
     """Check the implied expression I1 = I2 + I3 - I0 is valid.
 
     Returns ``(True, None)`` when its local-realistic maximum is <= 1,
-    otherwise ``(False, witness)`` with a maximizing strategy.  This is a
-    sufficient condition for the three-setting lift to be tight, not a
-    characterization.
+    otherwise ``(False, witness)`` with a maximizing strategy.  For facets
+    I0, I2, I3 the condition characterizes the lift: it is a facet iff I1 is
+    valid, since the lift restricted to the new party's outcomes (1, -1, -1)
+    is I1, so an invalid I1 makes the lift invalid.
     """
     i1 = linear_combine([(1, i2), (1, i3), (-1, i0)])
     bound, witness = lr_max_with_witness(i1)

@@ -23,6 +23,14 @@ bit order, so vertex lists, maximizers and witnesses are deterministic.
 Each party's canonical outcome rows are built once per scenario and kept
 read-only.  The values of every canonical strategy come from one broadcast
 integer matrix product per party against those rows.
+
+bellift caches only what its callers ask for again: these per-scenario
+rows, the facet lists of ``enumerate_facets``, the compiled relabellings of
+``expressions`` and the built-in expressions of ``lifting``.  Certificates of
+one expression (``lr_max``, ``tightness``) are recomputed on every call: a
+search or census feeds them a stream of distinct expressions, so a cache
+would pin them without being hit.  ``distinct_vertices`` is rebuilt too; its
+one library caller, ``enumerate_facets``, is cached.
 """
 
 from __future__ import annotations
@@ -122,13 +130,11 @@ def lr_max_with_witness(expr: BellExpression) -> tuple[Fraction, DeterministicSt
     return Fraction(int(vals[best]), expr.denominator), witness
 
 
-@lru_cache(maxsize=1024)
 def lr_max(expr: BellExpression) -> Fraction:
     """Exact maximum of the expression over all deterministic strategies."""
-    return lr_max_with_witness(expr)[0]
+    return Fraction(int(_vertex_values(expr)[1].max()), expr.denominator)
 
 
-@lru_cache(maxsize=64)
 def distinct_vertices(scenario: Scenario) -> np.ndarray:
     """All 2^(sum(m_p) - n + 1) polytope vertices, rows of +-1.
 
@@ -141,9 +147,7 @@ def distinct_vertices(scenario: Scenario) -> np.ndarray:
     count, cols = math.prod(len(r) for r in rows), scenario.dimension
     message = "scenario {s} has {count} vertices x {cols} coordinates = {size} entries"
     _refuse_over_cap(count * cols, ENUMERATION_CAP, message, s=scenario, count=count, cols=cols)
-    out = _vertices(rows, np.arange(count))
-    out.setflags(write=False)
-    return out
+    return _vertices(rows, np.arange(count))
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,6 @@ class TightnessReport:
     is_tight: bool
 
 
-@lru_cache(maxsize=1024)
 def tightness(expr: BellExpression) -> TightnessReport:
     """Exact facet test: validity (lr_max <= 1) plus full-rank saturation.
 

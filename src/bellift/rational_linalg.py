@@ -6,6 +6,9 @@ certified more cheaply, and integer matrices never leave integer arithmetic.
 Pivots are the first nonzero entry in column order, so the computation is
 deterministic for a given row order.
 
+A matrix comes as one 2-D array of integers that fit int64, such as the
+saturating vertex rows (entries +-1) that ``polytope.tightness`` builds.
+
 Every matrix A is first tried for full rank on the Gram matrix G of its
 short side (A^T A if A is tall, A A^T if wide): over Q, rank(G) = rank(A).
 G is one float64 matmul while (long side) * max|a|^2 < 2^53, where every
@@ -19,8 +22,6 @@ holds, Bareiss on A decides.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def _gram(a: np.ndarray) -> np.ndarray | None:
     if a.shape[0] < a.shape[1]:
         a = a.T
     peak = max(int(a.max(initial=0)), -int(a.min(initial=0)))  # np.abs(-2^63) < 0
-    if a.dtype != np.int64 or a.shape[0] * peak**2 >= _FLOAT_EXACT:
+    if a.shape[0] * peak**2 >= _FLOAT_EXACT:
         return None
     f = a.astype(np.float64)
     return f.T @ f
@@ -112,25 +113,9 @@ def _full_rank_witness(a: np.ndarray) -> bool:
     return bool(r.max(initial=0) < scale and r.sum(axis=1).max(initial=0) < scale)
 
 
-def _matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """The rows as a 2-D array of exact integers: int64 where every entry
-    fits, Python ints otherwise.  Ragged rows are refused."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "i":
-        return rows.astype(np.int64, copy=False)
-    m = [[int(x) for x in row] for row in rows]
-    lengths = sorted({len(row) for row in m})
-    if len(lengths) > 1:
-        raise ValueError(f"ragged matrix: row lengths {lengths}")
-    shape = (len(m), lengths[0] if m else 0)
-    try:
-        return np.array(m, dtype=np.int64).reshape(shape)
-    except OverflowError:
-        return np.array(m, dtype=object).reshape(shape)
-
-
-def integer_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
-    """Exact rank over Q of a matrix with integer entries."""
-    a = _matrix(rows)
+def integer_rank(a: np.ndarray) -> int:
+    """Exact rank over Q of a 2-D array of integers that fit int64."""
+    a = a.astype(np.int64, copy=False)
     if _full_rank_witness(a):
         return min(a.shape)
     return _eliminate(a.tolist())

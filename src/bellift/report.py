@@ -4,8 +4,9 @@
 quantity, expected value, tolerance and compute function.  ``reproduce_report``
 walks the table in order; ``tests/test_acceptance.py`` asserts the rows of
 each acceptance id.  The checks share one lazily filled ``BatteryContext``,
-so no see-saw or facet enumeration runs twice in a pass.  A row either
-passes or fails, and nothing raises on a mere mismatch.
+so no see-saw runs twice in a pass; facet lists and ``four_party_19`` come
+from the library's own caches.  A row either passes or fails, and nothing
+raises on a mere mismatch.
 """
 
 from __future__ import annotations
@@ -104,18 +105,11 @@ class BatteryContext:
         self.cfg = SeesawConfig(restarts=restarts, seed=seed)
         self._best: dict[str, SeesawResult] = {}
 
-    @cached_property
-    def fp(self) -> BellExpression:
-        return four_party_19()
-
-    @cached_property
-    def facets22(self) -> tuple[BellExpression, ...]:
-        return enumerate_facets(Scenario((2, 2)))
-
     def best(self, state_name: str) -> SeesawResult:
         """The see-saw on four_party_19 for a named state."""
         if state_name not in self._best:
-            self._best[state_name] = seesaw_maximize(self.fp, make_state(state_name), self.cfg)
+            state = make_state(state_name)
+            self._best[state_name] = seesaw_maximize(four_party_19(), state, self.cfg)
         return self._best[state_name]
 
     @cached_property
@@ -126,7 +120,7 @@ class BatteryContext:
     @cached_property
     def ghz_operator(self) -> np.ndarray:
         """four_party_19 at the ghz4-optimal directions."""
-        return bell_operator(self.fp, self.best("ghz4").settings)
+        return bell_operator(four_party_19(), self.best("ghz4").settings)
 
 
 @dataclass(frozen=True)
@@ -206,7 +200,7 @@ def _one_party_lift(ctx: BatteryContext) -> str:
 
 def _tight_lifts(ctx: BatteryContext, loose: bool) -> int:
     """Tight lift2 outputs over all facet pairs, or with one non-tight input."""
-    fs = ctx.facets22
+    fs = enumerate_facets(Scenario((2, 2)))
     half = Fraction(1, 2)
     bad = BellExpression.from_terms(Scenario((2, 2)), [((0, 0), half), ((0, 1), half)])
     pairs = [p for f in fs for p in ((bad, f), (f, bad))] if loose else product(fs, repeat=2)
@@ -244,10 +238,10 @@ def _violation(name: str, reference: float, kind: str) -> Check:
 
     def compute(ctx: BatteryContext) -> tuple[bool, str]:
         state, best = make_state(name), ctx.best(name)
-        top_eig = spectrum(bell_operator(ctx.fp, best.settings)).eigenvalues[0]
+        top_eig = spectrum(bell_operator(four_party_19(), best.settings)).eigenvalues[0]
         cs_bound = math.sqrt(sum_squared_correlations(state))
         passed = (
-            abs(best.value - expectation(ctx.fp, best.settings, state)) <= 1e-9
+            abs(best.value - expectation(four_party_19(), best.settings, state)) <= 1e-9
             and best.value <= top_eig + 1e-9
             and best.value <= cs_bound + 1e-9
         )
@@ -285,7 +279,7 @@ def _spectrum_groups(expected: list[tuple[float, int]]) -> Callable:
 
 def _gghz_value(ctx: BatteryContext, lam: float, max_restarts: float = math.inf) -> float:
     cfg = replace(ctx.cfg, restarts=min(ctx.cfg.restarts, max_restarts))
-    return seesaw_maximize(ctx.fp, make_state("generalized-ghz", lam), cfg).value
+    return seesaw_maximize(four_party_19(), make_state("generalized-ghz", lam), cfg).value
 
 
 def _tnorm_deviation(ctx: BatteryContext) -> float:
@@ -298,7 +292,7 @@ def _alpha_norm_deviation(ctx: BatteryContext) -> float:
     worst = 0.0
     for _ in range(100):
         angles = [tuple(rng.uniform(0, 2 * math.pi, 3)) for _ in range(4)]
-        alpha = contract_coefficients(ctx.fp, MeasurementSettings.from_angles(angles))
+        alpha = contract_coefficients(four_party_19(), MeasurementSettings.from_angles(angles))
         worst = max(worst, abs(float(np.sum((4 * alpha) ** 2)) - 16.0))
     return worst
 
@@ -316,9 +310,9 @@ def _pairing_deviation(ctx: BatteryContext) -> float:
         vecs = rng.normal(size=(4, 3, 3))
         vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
         settings = MeasurementSettings(tuple(vecs))
-        alpha = contract_coefficients(ctx.fp, settings)
+        alpha = contract_coefficients(four_party_19(), settings)
         lhs = float(np.sum(correlation_tensor(state).values * alpha))
-        worst = max(worst, abs(lhs - expectation(ctx.fp, settings, state)))
+        worst = max(worst, abs(lhs - expectation(four_party_19(), settings, state)))
     return worst
 
 
@@ -326,7 +320,7 @@ def _top5_mixture(ctx: BatteryContext) -> float:
     eigvals, eigvecs = np.linalg.eigh(ctx.ghz_operator)
     top5 = eigvecs[:, np.argsort(eigvals)[::-1][:5]]
     rho = (top5 @ top5.conj().T) / 5
-    return expectation(ctx.fp, ctx.best("ghz4").settings, make_state("custom", rho=rho))
+    return expectation(four_party_19(), ctx.best("ghz4").settings, make_state("custom", rho=rho))
 
 
 def _mabk4_three_mixtures(ctx: BatteryContext) -> tuple[float, str]:
@@ -345,15 +339,13 @@ def _cauchy_schwarz_guard(ctx: BatteryContext) -> tuple[bool, str]:
         p = min(1.0, 0.99 / math.sqrt(total))
         state = make_state("custom", rho=p * rho_pure + (1 - p) * np.eye(16) / 16)
         worst_total = max(worst_total, sum_squared_correlations(state))
-        worst_val = max(worst_val, seesaw_maximize(ctx.fp, state, ctx.cfg).value)
+        worst_val = max(worst_val, seesaw_maximize(four_party_19(), state, ctx.cfg).value)
     passed = worst_total <= 1.0 and worst_val <= 1.0 + 1e-6
     return passed, f"max {_f6(worst_val)} (max sum T^2 {_f6(worst_total)})"
 
 
 def _facets_tight(ctx: BatteryContext) -> tuple[bool, str]:
-    facets = ctx.facets22 + tuple(
-        f for s in [(2, 2, 2), (3, 3)] for f in enumerate_facets(Scenario(s))
-    )
+    facets = [f for s in [(2, 2), (2, 2, 2), (3, 3)] for f in enumerate_facets(Scenario(s))]
     ok = all(tightness(f).is_tight for f in facets)
     return ok, "all tight" if ok else "counterexample found"
 
@@ -370,7 +362,8 @@ def battery() -> tuple[Check, ...]:
         _exact("1", "mabk(2) facet certificate", "tight", lambda c: _tight(mabk(2))),
         _exact("1", "two-setting lift of the one-party facets = mabk(2)", "equal", _one_party_lift),
         # two-setting lift theorem across all 16 two-party facets
-        _exact("13", "facet count, two parties x two settings", "16", lambda c: len(c.facets22)),
+        _exact("13", "facet count, two parties x two settings", "16",
+               lambda c: len(enumerate_facets(Scenario((2, 2))))),
         _exact("2", "tight lift2 outputs over all 16 x 16 facet pairs", "256",
                lambda c: _tight_lifts(c, loose=False)),
         _exact("2", "tight lift2 outputs with one non-tight input", "0",
@@ -392,9 +385,10 @@ def battery() -> tuple[Check, ...]:
         _exact("4", "tensor identity: base + image1 = image2 + image3", "equal", _image_identity),
         # the lifted four-party inequality
         _exact("5", "four_party_19 local-realistic maximum (4096 strategies)", "1",
-               lambda c: lr_max(c.fp)),
-        _exact("5", "four_party_19 saturating-vertex rank", "81", lambda c: tightness(c.fp).rank),
-        _exact("5", "four_party_19 facet certificate", "tight", lambda c: _tight(c.fp)),
+               lambda c: lr_max(four_party_19())),
+        _exact("5", "four_party_19 saturating-vertex rank", "81",
+               lambda c: tightness(four_party_19()).rank),
+        _exact("5", "four_party_19 facet certificate", "tight", lambda c: _tight(four_party_19())),
         _exact("5", "compatibility condition for (base, image2, image3)", "holds",
                lambda c: "holds" if _compatibility(c)[0] else "violated"),
         _exact("5", "compatibility witness for (base, image2, image3)", "none",
@@ -435,10 +429,11 @@ def battery() -> tuple[Check, ...]:
         Check("12", "see-saw stays classical when sum T^2 <= 1 (20 random mixed states)", "pass",
               "1 + 1e-6", _cauchy_schwarz_guard),
         # facet oracle
-        _exact("13", "single-correlation facets among the 16", "8",
-               lambda c: sum(len(list(f.terms())) == 1 for f in c.facets22)),
+        _exact("13", "single-correlation facets among the 16", "8", lambda c: sum(
+            len(list(f.terms())) == 1 for f in enumerate_facets(Scenario((2, 2))))),
         _exact("13", "chsh-variant facets among the 16", "8", lambda c: sum(
-            sorted(abs(x) for _, x in f.terms()) == [Fraction(1, 2)] * 4 for f in c.facets22)),
+            sorted(abs(x) for _, x in f.terms()) == [Fraction(1, 2)] * 4
+            for f in enumerate_facets(Scenario((2, 2))))),
         _exact("13", "facet count, three parties x two settings", "256",
                lambda c: len(enumerate_facets(Scenario((2, 2, 2))))),
         _exact("13", "facet count, two parties x three settings", "90",

@@ -150,7 +150,8 @@ def test_error_message_names_the_term():
 
 
 def test_not_json():
-    with pytest.raises(DocumentError, match="JSON"):
-        parse_expression("{nope")
+    for text in ("{nope", "9" * 5000):  # json.loads refuses the number with a plain ValueError
+        with pytest.raises(DocumentError, match="JSON"):
+            parse_expression(text)
     with pytest.raises(DocumentError, match="object"):
         parse_expression("[1, 2]")

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -71,6 +71,24 @@ def test_lift2_theorem_sample_both_directions():
     # a valid expression that saturates nowhere is not tight either
     weak = f.scaled("1/2")
     assert not tightness(lift2(weak, g, diagnose=False)[0]).is_tight
+
+
+def test_lift2_report_follows_from_its_inputs():
+    """On (2, 2) facets and the valid, non-tight midpoints of facet pairs,
+    lift2's report is fixed by its inputs' reports: the local bound is the
+    larger one, and the saturating counts and ranks add up."""
+    facets = enumerate_facets(Scenario((2, 2)))
+    pool = [*facets, *((f + g).scaled("1/2") for f, g in combinations(facets, 2))]
+    reports = [tightness(e) for e in pool]
+    assert [r.is_valid and not r.is_tight for r in reports] == [False] * 16 + [True] * 120
+    rng = random.Random(0)
+    for _ in range(1500):
+        i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
+        rep = tightness(lift2(pool[i], pool[j], diagnose=False)[0])
+        a, b = reports[i], reports[j]
+        assert rep.lr_max == max(a.lr_max, b.lr_max)
+        assert rep.saturating_count == a.saturating_count + b.saturating_count
+        assert rep.rank == a.rank + b.rank
 
 
 def _random_inputs(count, seed, big=0):
@@ -165,6 +183,19 @@ WBZ_EXPECTED = {
     # the two eighth-weight products overlap on the 2x2x2 corner block
     (1, 1, 1): QUARTER, (1, 2, 2): QUARTER, (2, 1, 2): QUARTER, (2, 2, 1): QUARTER,
 }
+
+
+def test_lift3_of_facets_is_a_facet_iff_compatible():
+    """For facets I0, I2, I3 the compatibility condition is also necessary:
+    restricted to new-party outcomes (1, -1, -1) the lift is I1 itself."""
+    facets = enumerate_facets(Scenario((3, 3)))
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(1000):
+        out, diag = lift3(*rng.choices(facets, k=3), diagnose=False)
+        assert tightness(out).is_tight == diag.compatibility_valid
+        seen.add(diag.compatibility_valid)
+    assert seen == {True, False}
 
 
 def test_wbz333_coefficients_from_independent_expansion():
