@@ -6,9 +6,13 @@ Data conventions used throughout the package:
   Parties and settings are zero-indexed everywhere.
 * A *Bell expression* is a real linear form on correlation space,
   ``I = sum_idx c[idx] * E[idx]``, where ``idx`` runs over joint setting
-  tuples and ``E[idx]`` is the full n-party correlator.  Coefficients are
-  exact rationals; floats are rejected so that saturation and bound checks
-  can use exact equality.
+  tuples and ``E[idx]`` is the full n-party correlator.
+* Every input rule is defined here once.  An integer field (a setting count
+  or index, outcome, sign, party order or qubit count) is read by ``_index``,
+  which refuses a bool, a float and a string.  A coefficient is read by
+  ``_as_fraction``: an int, a Fraction or rational text ("1/2", "1e-3"), but
+  never a float or a bool, so that saturation and bound checks can use exact
+  equality; a decimal exponent past Python's int digit limit is refused.
 * Coefficients are stored as gcd-reduced integer numerators over one positive
   denominator, flat in C (row-major) order over the setting tuples, and only
   this module builds them.  ``Scenario.flat_index`` maps a tuple to its position.
@@ -25,6 +29,8 @@ import functools
 import itertools
 import math
 import operator
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -66,15 +72,36 @@ def _require_exact_size(scenario: Scenario) -> None:
     _refuse_over_cap(scenario.dimension, EXACT_COEFFICIENT_CAP, message, s=scenario)
 
 
+def _index(value: object) -> int:
+    """An integer field's value by its ``__index__``; a bool, an int subclass, is refused."""
+    if type(value) is int:  # the common case, returned at once
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got the bool {value!r}")
+    return operator.index(value)
+
+
+# A decimal's mantissa (no '/', no trailing space) and exponent, as Fraction spells them;
+# 10**exponent past Python's digit limit on int literals is refused before it is built
+_DECIMAL_EXPONENT = re.compile(r"([^/]*[^/\s])e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
+
+
 def _as_fraction(value: RationalLike) -> Fraction:
+    """The one coefficient reader: an exact rational, never a float or a bool."""
     if type(value) is Fraction:  # immutable, so it is shared rather than copied
         return value
-    if isinstance(value, float):
-        raise TypeError(
-            f"coefficients must be exact rationals, got float {value!r}; "
-            "pass a Fraction, int, or 'p/q' string instead"
-        )
-    return Fraction(value)
+    if isinstance(value, (float, bool, np.floating, np.bool_)):
+        kind = type(value).__name__
+        raise TypeError(f"coefficient {value!r} is a {kind}; use an exact rational like 3 or '1/2'")
+    try:
+        if isinstance(value, str) and (decimal := _DECIMAL_EXPONENT.fullmatch(value)):
+            Fraction(decimal[1])  # a malformed mantissa is still reported as malformed
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            message = "coefficient {raw!r} has a decimal exponent of {size}"
+            _refuse_over_cap(abs(int(decimal[2])), limit, message, raw=value)
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {value!r} ({exc})") from None
 
 
 def _integers(values: Iterable[RationalLike]) -> tuple[list[int], int]:
@@ -87,6 +114,18 @@ def _integers(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
+def _sparse(scenario: Scenario, terms: Iterable[tuple[int, RationalLike]]) -> BellExpression:
+    """An expression from ``(flat place, coefficient)`` pairs: the numerators over
+    one denominator are written straight into place, and repeated places add up."""
+    _require_exact_size(scenario)  # before the terms are consumed
+    terms = list(terms)
+    numerators, den = _integers(c for _, c in terms)
+    nums = [0] * scenario.dimension
+    for (place, _), n in zip(terms, numerators):
+        nums[place] += n
+    return _exact(scenario, nums, den)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Per-party setting counts for a full-correlation Bell scenario."""
@@ -94,11 +133,11 @@ class Scenario:
     settings: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        settings = tuple(map(operator.index, self.settings))
+        settings = tuple(map(_index, self.settings))
         if not settings:
             raise ValueError("scenario needs at least one party")
         if any(m < 1 for m in settings):
-            raise ValueError(f"setting counts must be >= 1, got {settings}")
+            raise ValueError(f"setting counts must be positive integers, got {settings}")
         object.__setattr__(self, "settings", settings)
         message = "scenario {s} has {size} joint settings"
         _refuse_over_cap(self.dimension, ENUMERATION_CAP, message, s=self)
@@ -120,7 +159,7 @@ class Scenario:
         if len(idx) != self.parties:
             raise ValueError(f"index {tuple(idx)} has wrong arity for {self}")
         flat = 0
-        for j, m in zip(idx, self.settings):
+        for j, m in zip(map(_index, idx), self.settings):
             if not 0 <= j < m:
                 raise ValueError(f"setting index {tuple(idx)} out of range for {self}")
             flat = flat * m + j
@@ -137,7 +176,7 @@ class DeterministicStrategy:
     outcomes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        outcomes = tuple(tuple(map(operator.index, party)) for party in self.outcomes)
+        outcomes = tuple(tuple(map(_index, party)) for party in self.outcomes)
         for party in outcomes:
             if any(o not in (-1, 1) for o in party):
                 raise ValueError(f"outcomes must be +-1, got {outcomes}")
@@ -181,12 +220,8 @@ class BellExpression:
         scenario: Scenario,
         terms: Iterable[tuple[Sequence[int], RationalLike]],
     ) -> BellExpression:
-        """Build from sparse ``(setting tuple, coefficient)`` pairs."""
-        _require_exact_size(scenario)
-        coeffs = [Fraction(0)] * scenario.dimension
-        for idx, c in terms:
-            coeffs[scenario.flat_index(idx)] += _as_fraction(c)
-        return cls(scenario, coeffs)
+        """Build from sparse ``(setting tuple, coefficient)`` pairs; repeats add up."""
+        return _sparse(scenario, ((scenario.flat_index(idx), c) for idx, c in terms))
 
     @classmethod
     def from_product(
@@ -311,12 +346,9 @@ def linear_combine(
 def permute_parties(expr: BellExpression, order: Sequence[int]) -> BellExpression:
     """Relabel parties: new party k is old party ``order[k]``.  This is one
     gather of the numerators by a compiled source index, every sign +1."""
-    settings = expr.scenario.settings
+    settings, order = expr.scenario.settings, tuple(map(_index, order))
     if sorted(order) != list(range(len(settings))):
-        raise ValueError(f"order {tuple(order)} is not a permutation of the parties")
-    if any(isinstance(k, bool) for k in order):
-        raise TypeError(f"order {tuple(order)} must hold integers, not bools")
-    order = tuple(map(operator.index, order))  # refuses floats
+        raise ValueError(f"order {order} is not a permutation of the parties")
     identity = tuple(map(range, settings)), tuple((1,) * m for m in settings)
     return _relabel(expr, Scenario(tuple(settings[q] for q in order)), order, *identity)
 
@@ -333,8 +365,8 @@ class SignedSettingMap:
     signs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        perms = tuple(tuple(map(operator.index, p)) for p in self.permutations)
-        signs = tuple(tuple(map(operator.index, p)) for p in self.signs)
+        perms = tuple(tuple(map(_index, p)) for p in self.permutations)
+        signs = tuple(tuple(map(_index, p)) for p in self.signs)
         if len(perms) != len(signs):
             raise ValueError("permutations and signs must cover the same parties")
         for perm, sgn in zip(perms, signs):

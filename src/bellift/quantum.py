@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .expressions import ENUMERATION_CAP, BellExpression, Scenario, _refuse_over_cap
+from .expressions import ENUMERATION_CAP, BellExpression, Scenario, _index, _refuse_over_cap
 from .lifting import mabk
 from .polytope import lr_max
 
@@ -63,6 +62,7 @@ class QuantumState:
     rho: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _index(self.n))
         _refuse_over_cap(4, ENUMERATION_CAP, _QUBIT_MATRIX, exponent=self.n)
         rho = np.asarray(self.rho, dtype=np.complex128)
         if not np.isfinite(rho).all():  # NaN would pass every comparison below
@@ -151,7 +151,7 @@ def make_state(
     if name in _KETS:
         return _ket_state(_KETS[name])
     if name in ("ghz", "product-zeros"):
-        n = None if param is None else operator.index(param)  # a float such as 2.7 raises
+        n = None if param is None else _index(param)
         if n is None or n < 1:
             raise ValueError(f"{name} needs a positive qubit count")
         _refuse_over_cap(4, ENUMERATION_CAP, _QUBIT_MATRIX, exponent=n)  # before the labels exist
@@ -294,6 +294,7 @@ class CorrelationTensor:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _index(self.n))
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (3,) * self.n:
             raise ValueError(f"expected shape {(3,) * self.n}")
@@ -367,8 +368,8 @@ class SeesawConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("restarts", "max_sweeps", "seed"):  # a float such as 2.5 raises
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name in ("restarts", "max_sweeps", "seed"):
+            object.__setattr__(self, name, _index(getattr(self, name)))
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_sweeps < 0:

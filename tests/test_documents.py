@@ -76,9 +76,10 @@ def test_decimal_coefficients_parse_as_fractions():
 def test_huge_decimal_exponents_are_refused_at_once(capsys, tmp_path):
     doc = {"settings": [1], "terms": [{"s": [0], "c": "1e10000000"}]}
     start = time.perf_counter()
-    with pytest.raises(EnumerationCapExceeded, match="decimal exponent of 10000000"):
+    with pytest.raises(EnumerationCapExceeded, match="decimal exponent of 10000000") as info:
         parse_expression(doc)
     assert time.perf_counter() - start < 0.5  # building 10**10000000 takes seconds
+    assert str(info.value).startswith("term 0: ")  # the library's refusal names the term
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     assert main(["lr-bound", str(path)]) == 2
@@ -149,9 +150,14 @@ def test_error_message_names_the_term():
         parse_expression(doc)
 
 
-def test_not_json():
-    for text in ("{nope", "9" * 5000):  # json.loads refuses the number with a plain ValueError
+def test_not_json(capsys, tmp_path):
+    # json.loads refuses the number with a plain ValueError, the nesting with a RecursionError
+    for text in ("{nope", "9" * 5000, "[" * 100000):
         with pytest.raises(DocumentError, match="JSON"):
             parse_expression(text)
     with pytest.raises(DocumentError, match="object"):
         parse_expression("[1, 2]")
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000)
+    assert main(["lr-bound", str(path)]) == 1
+    assert "bellift: error:" in capsys.readouterr().err

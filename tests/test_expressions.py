@@ -1,8 +1,10 @@
 """Core expression types: exactness, evaluation, and relabelling."""
 
 import copy
+import inspect
 import math
 import pickle
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -18,13 +20,17 @@ from bellift import (
     BellExpression,
     DeterministicStrategy,
     EnumerationCapExceeded,
+    QuantumState,
     Scenario,
+    SeesawConfig,
     SignedSettingMap,
     apply_signed_setting_map,
     evaluate,
+    expressions,
     four_party_19,
     lift2,
     linear_combine,
+    make_state,
     permute_parties,
     symmetry_images,
     wbz333,
@@ -80,6 +86,12 @@ def test_every_cap_refusal_goes_through_one_gate():
     assert raises == 1
 
 
+def test_every_integer_field_goes_through_one_rule():
+    src = Path(__file__).resolve().parents[1] / "src" / "bellift"
+    uses = sum(p.read_text().count("operator.index") for p in src.glob("*.py"))
+    assert uses == 1 and "operator.index" in inspect.getsource(expressions._index)
+
+
 def test_scenario_rejects_bad_settings():
     with pytest.raises(ValueError):
         Scenario((0, 2))
@@ -104,10 +116,18 @@ def test_strategy_validation():
         lambda: SignedSettingMap(((1.9, 0),), ((1, 1),)),
         lambda: permute_parties(CHSH, (1.0, 0.0)),
         lambda: permute_parties(CHSH, (True, False)),
+        lambda: Scenario((True, 2)),
+        lambda: DeterministicStrategy(((True,),)),
+        lambda: SignedSettingMap(((True, False),), ((1, 1),)),
+        lambda: SeesawConfig(restarts=True),
+        lambda: make_state("ghz", True),
+        lambda: QuantumState(2.0, np.eye(4) / 4),
+        lambda: BellExpression.from_terms(TWO, [((True, 0), 1)]),
     ],
     ids=[
         "scenario-float", "scenario-string", "strategy-float", "map-float", "order-float",
-        "order-bool",
+        "order-bool", "scenario-bool", "strategy-bool", "map-bool", "seesaw-bool",
+        "qubits-bool", "state-float", "index-bool",
     ],
 )
 def test_integer_fields_refuse_non_integers(build):
@@ -133,8 +153,25 @@ def test_admissible_vector_is_outer_product():
 
 
 def test_float_coefficients_rejected():
-    with pytest.raises(TypeError):
-        BellExpression.from_terms(TWO, [((0, 0), 0.5)])
+    for value in (0.5, np.float32(0.5)):
+        with pytest.raises(TypeError, match="float"):
+            BellExpression.from_terms(TWO, [((0, 0), value)])
+    with pytest.raises(TypeError, match="bool"):
+        BellExpression(Scenario((2,)), [True, 0])
+    with pytest.raises(TypeError, match="bool"):
+        BellExpression.from_terms(TWO, [((0, 0), True)])
+
+
+def test_library_refuses_huge_decimal_exponents_at_once():
+    one = Scenario((1,))
+    for build in (
+        lambda: BellExpression(one, ["1e10000000"]),
+        lambda: BellExpression.from_terms(one, [((0,), "1e10000000")]),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapExceeded, match="decimal exponent of 10000000"):
+            build()
+        assert time.perf_counter() - start < 0.5  # building 10**10000000 takes seconds
 
 
 def test_from_terms_accumulates_duplicates():
