@@ -25,7 +25,7 @@ print("base facet wbz333:", sum(1 for _ in b.terms()), "nonzero coefficients")
 print("local-realistic maximum:", lr_max(b))
 print("rank of saturating vertices:", tightness(b).rank, "(need 27)")
 
-# The images come from relabelling/cycling the first party's settings, and
+# The images swap or cycle the settings of every party alike, and
 # they satisfy a linear identity that powers the compatibility condition.
 print("\nidentity  b + b1 == b2 + b3 :", b + b1 == b2 + b3)
 

@@ -5,11 +5,11 @@ all deterministic strategies.  Everything here is exact and stays in
 ``int``/``Fraction`` arithmetic: strategy values are integers over the
 expression's one denominator, the local-realistic maximum is returned as a
 Fraction, saturation means value exactly 1, ranks come from
-``rational_linalg`` (strict diagonal dominance of the Gram matrix certifies
-full rank at every width, an integer inverse witness only past 16 columns,
-and anything else falls back to the fraction-free elimination), and the
-facet enumeration is an integer double description whose rays never leave
-int64.
+``rational_linalg`` (at every width, strict diagonal dominance of the Gram
+matrix, then an inverse witness checked by one exact float64 product,
+certifies full rank, and anything else falls back to the fraction-free
+elimination), and the facet enumeration is an integer double description
+whose rays never leave int64.
 
 Strategies are taken in *bit order*: strategy k is the one whose
 concatenated outcome bits (party-major, setting-major; bit 0 encodes
@@ -263,8 +263,8 @@ def _insert_row(
     rays: np.ndarray, masks: np.ndarray, row: np.ndarray, bit: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Intersect the cone with {y : row . y <= 0}, one double-description step."""
-    # row entries are +-1, so |s| <= d max|r| and |s+ r- - s- r+| <= 2 d max|r|^2
-    bound = rays.shape[1] * int(np.abs(rays).max()) ** 2
+    # |s| <= d max|row| max|r|, so |s+ r- - s- r+| <= 2 d max|row| max|r|^2
+    bound = rays.shape[1] * int(np.abs(row).max()) * int(np.abs(rays).max()) ** 2
     _refuse_over_cap(bound, _INT64_SAFE - 1, "facet enumeration's int64 ray sums reach {size}")
     s = rays @ row
     plus, minus = np.flatnonzero(s > 0), np.flatnonzero(s < 0)

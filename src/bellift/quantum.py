@@ -323,8 +323,19 @@ def sum_squared_correlations(state: QuantumState) -> float:
 
 
 def _coefficient_tensor(expr: BellExpression) -> np.ndarray:
-    """The coefficients over the setting axes, each rounded once like ``float(Fraction)``."""
-    return np.reshape([c / expr.denominator for c in expr.numerators], expr.scenario.settings)
+    """The coefficients over the setting axes, each rounded once like ``float(Fraction)``.
+
+    A coefficient past float64's range is refused with ``ValueError``, which
+    names its settings.
+    """
+    values = []
+    for k, c in enumerate(expr.numerators):
+        try:
+            values.append(c / expr.denominator)
+        except OverflowError:
+            s = [int(i) for i in np.unravel_index(k, expr.scenario.settings)]
+            raise ValueError(f"coefficient at settings {s} is past float64's range") from None
+    return np.reshape(values, expr.scenario.settings)
 
 
 def contract_coefficients(expr: BellExpression, settings: MeasurementSettings) -> np.ndarray:

@@ -11,24 +11,22 @@ saturating vertex rows (entries +-1) that ``polytope.tightness`` builds.
 
 Every matrix A is first tried for full rank on the Gram matrix G of its
 short side (A^T A if A is tall, A A^T if wide): over Q, rank(G) = rank(A).
-G is one float64 matmul while (long side) * max|a|^2 < 2^53, where every
-partial sum is an integer that float64 holds exactly.  If G is strictly
-diagonally dominant (2|g_ii| > sum_j |g_ij| on every row, exact integers),
-it is nonsingular (Levy-Desplanques), so A has full rank.  Otherwise, and
-only for A wider than 16 columns, the float inverse of G proposes a witness
-X; int64 arithmetic alone proves G X, hence G, nonsingular
-(``_full_rank_witness``).  Where G is past float64 or neither certificate
-holds, Bareiss on A decides.
+One exactness rule covers every product on G's side: it is one float64
+matmul whose entries and partial sums are integers below 2^53, which
+float64 holds exactly.  G qualifies while (long side) * max|a|^2 < 2^53.
+The certificates come in one order at every width.  If G is strictly
+diagonally dominant (2|g_ii| > sum_j |g_ij| on every row), it is
+nonsingular (Levy-Desplanques), so A has full rank.  Otherwise the float
+inverse of G proposes an integer witness X, and one exact product G X
+proves G nonsingular (``_full_rank_witness``).  Where a product would
+break the rule or neither certificate holds, Bareiss on A decides.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# up to this width Bareiss beats the inverse witness; dominance is tried at every width
-_BAREISS_MAX_COLS = 16
 _FLOAT_EXACT = 2**53  # float64 holds every integer up to this exactly
-_INT64_ROOM = 2**62  # int64 bound on the witness's entries: half its range
 
 
 def _eliminate(m: list[list[int]]) -> int:
@@ -73,44 +71,33 @@ def _full_rank_witness(a: np.ndarray) -> bool:
     """Whether an exact certificate proves that ``a`` has full rank min(rows, cols).
 
     First strict diagonal dominance of the Gram matrix G, which makes G
-    nonsingular.  Failing that, for ``a`` wider than ``_BAREISS_MAX_COLS``,
-    the float inverse of G proposes X = round(2^k G^-1); the proof is integer
-    arithmetic alone.  With R = 2^k I - G X computed exactly and
-    max_i sum_j |R_ij| < 2^k, G X = 2^k (I - R / 2^k) is nonsingular, so G
-    is, and rank(a) = rank(G) is full.  False means "not certified" only.
+    nonsingular.  Failing that, the float inverse of G proposes
+    X = rint(2^k G^-1), and R = 2^k I - G X is one float64 product, exact
+    under the module's rule or declined.  With max_i sum_j |R_ij| < 2^k,
+    G X = 2^k (I - R / 2^k) is nonsingular, so G is, and rank(a) = rank(G)
+    is full.  False means "not certified" only.
     """
     g = _gram(a)
     if g is None:
         return False
     mag = np.abs(g)
-    # row sums of |G| stay exact, and each limb of X below gets 10 bits or more
-    if len(g) * mag.max(initial=0) > _FLOAT_EXACT >> 10:
+    if len(g) * mag.max(initial=0) >= _FLOAT_EXACT:  # row sums of |G| stay exact
         return False
     sums = mag.sum(axis=1)
     if (2 * mag.diagonal() > sums).all():  # strictly dominant: nonsingular
         return True
-    if a.shape[1] <= _BAREISS_MAX_COLS:
-        return False
     n, norm = len(g), max(int(sums.max(initial=0)), 1)  # ||G||_inf
     scale = 1 << (norm << 10).bit_length()  # 2^k: rounding X moves G X by < 2^-11 of it
     try:
         x = np.linalg.inv(g)
     except np.linalg.LinAlgError:
         return False
-    # |(G X)_ij|, |R_ij| and a row sum of entries below 2^k stay below 2^62;
-    # the roundoff of this float bound is far inside int64's other factor 2
-    bound = norm * (float(np.abs(x).max(initial=0)) * scale + 1) + scale
-    if n * scale > _INT64_ROOM or not bound < _INT64_ROOM:  # NaN fails too
+    peak = float(np.abs(x).max(initial=0)) * scale  # 2^k max|G^-1|, exact; NaN fails too
+    # ||G||_inf max|X| + 2^k bounds G X's partial sums and R's entries, n 2^k R's row sums
+    if not peak < _FLOAT_EXACT or max(norm * (int(peak) + 1) + scale, n * scale) >= _FLOAT_EXACT:
         return False
-    x = np.rint(x * scale).astype(np.int64)
-    # G X over two limbs of X, at most 2^(bits-1) and 2^10: float64 partial sums stay exact
-    bits = (_FLOAT_EXACT // norm).bit_length() - 1
-    hi = (x + (1 << bits - 1)) >> bits
-    gx = (g @ (x - (hi << bits)).astype(np.float64)).astype(np.int64)
-    if hi.any():
-        gx += (g @ hi.astype(np.float64)).astype(np.int64) << bits
-    r = np.abs(scale * np.eye(n, dtype=np.int64) - gx)
-    return bool(r.max(initial=0) < scale and r.sum(axis=1).max(initial=0) < scale)
+    r = np.abs(scale * np.eye(n) - g @ np.rint(x * scale))
+    return bool(r.sum(axis=1).max(initial=0) < scale)
 
 
 def integer_rank(a: np.ndarray) -> int:

@@ -1,5 +1,6 @@
 """Subcommand behaviour, document plumbing, and exit codes."""
 
+import io
 import json
 import math
 import os
@@ -209,6 +210,15 @@ def test_spectrum_refuses_a_bad_degeneracy_tolerance(capsys, tmp_path, tol):
     directions.write_text(json.dumps([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]] * 2))
     code, out, err = run(capsys, "spectrum", chsh, str(directions), "--tol", tol)
     assert code == 1 and out == "" and "finite and non-negative" in err
+
+
+def test_spectrum_refuses_a_coefficient_past_float64(capsys, tmp_path, monkeypatch):
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps({"settings": [2], "terms": [{"s": [0], "c": "1e400"}]}))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([[[0.0, 0.0, 1.0]] * 2])))
+    code, out, err = run(capsys, "spectrum", str(doc), "-")
+    assert code == 1 and out == ""
+    assert err.startswith("bellift: error: coefficient at settings [0]")
 
 
 def test_violate_state_options(capsys, tmp_path):

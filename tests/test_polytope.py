@@ -430,3 +430,19 @@ def test_facet_oracle_int64_guard(monkeypatch):
     enumerate_facets.cache_clear()
     with pytest.raises(EnumerationCapExceeded, match="int64"):
         enumerate_facets(TWO)
+
+
+def test_facet_oracle_int64_guard_counts_the_row_entries(monkeypatch):
+    """The guard bounds 2 d max|row| max|ray|^2, not 2 d max|ray|^2: with the
+    cap just above the +-1 bound, a +-1 row still fits and a +-6 row, such as
+    a symmetric section's, is refused before any ray is formed."""
+    rows = np.array(
+        [[6, -6, 6, -1], [-6, 6, 6, -1], [6, 6, -6, -1], [-6, -6, -6, -1], [6, 6, 6, -1]]
+    )
+    basis, rays, masks = polytope._initial_cone(rows)
+    assert basis == [0, 1, 2, 3]
+    unit_bound = rays.shape[1] * int(np.abs(rays).max()) ** 2
+    monkeypatch.setattr(polytope, "_INT64_SAFE", unit_bound + 2)
+    polytope._insert_row(rays, masks, np.sign(rows[4]), 4)
+    with pytest.raises(EnumerationCapExceeded, match="int64"):
+        polytope._insert_row(rays, masks, rows[4], 4)

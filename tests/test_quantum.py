@@ -450,6 +450,20 @@ def test_bell_operator_rejects_mismatched_settings():
         bell_operator(CHSH, z_settings(2, 3))
 
 
+def test_coefficients_past_float64_are_refused_by_name():
+    """1e400 has no float64: each float consumer of the coefficients refuses
+    it with a ValueError naming its settings, not an OverflowError."""
+    big = BellExpression.from_terms(Scenario((2, 2)), [((0, 0), 1), ((0, 1), 10**400)])
+    settings = z_settings(2, 2)
+    for call in (
+        lambda: bell_operator(big, settings),
+        lambda: expectation(big, settings, BELL),
+        lambda: contract_coefficients(big, settings),
+    ):
+        with pytest.raises(ValueError, match=r"coefficient at settings \[0, 1\]"):
+            call()
+
+
 def test_expectation_bell_pair():
     zz = BellExpression.from_terms(Scenario((1, 1)), [((0, 0), 1)])
     assert np.isclose(expectation(zz, z_settings(2, 1), BELL), 1.0)

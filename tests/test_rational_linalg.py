@@ -2,8 +2,10 @@
 full rank (Gram diagonal dominance, the integer inverse witness) against
 Bareiss."""
 
+import itertools
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -12,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellift import rational_linalg
-from bellift.expressions import Scenario
+from bellift import polytope, rational_linalg
+from bellift.expressions import BellExpression, Scenario
 from bellift.lifting import four_party_19, mabk, wbz333
 from bellift.polytope import distinct_vertices, enumerate_facets, tightness
 from bellift.rational_linalg import _eliminate, integer_rank
@@ -38,8 +40,8 @@ def test_rank_matches_float_oracle_on_random_matrices():
 
 
 # ---------------------------------------------------------------------------
-# Gram dominance (every width), then the inverse witness (more than 16
-# columns), then the Bareiss fallback
+# Gram dominance, then the inverse witness, then the Bareiss fallback, at
+# every width
 # ---------------------------------------------------------------------------
 
 
@@ -54,6 +56,16 @@ def _unreachable(m):
 
 def _no_inverse(g):
     raise AssertionError("float inverse proposed")
+
+
+def _recorded(calls, fn):
+    """``fn``, appending the row count of its argument to ``calls`` first."""
+
+    def call(m):
+        calls.append(len(m))
+        return fn(m)
+
+    return call
 
 
 def test_full_rank_over_q_but_not_mod_p_falls_back():
@@ -128,13 +140,26 @@ def test_gram_route_agrees_with_bareiss(short, extra, tall, size, deficient, see
         assert gram.tolist() == (a.T @ a).tolist()  # exact, with an entry near 2^53
 
 
+def _upper(n: int, peak: int = 1) -> np.ndarray:
+    """peak * (I - strict upper ones): full rank, Gram matrix not dominant."""
+    return peak * (np.eye(n, dtype=np.int64) - np.triu(np.ones((n, n), dtype=np.int64), 1))
+
+
 @pytest.mark.parametrize("n, peak", [(17, 1), (17, 8), (18, 4)])
-def test_the_witness_spans_several_limbs(n, peak):
-    """peak * (I - strict upper ones) has a witness of ~2^47-2^50 entries,
-    past its low float64 limb of at most 2^39-2^45: it is checked in two."""
-    a = peak * (np.eye(n, dtype=np.int64) - np.triu(np.ones((n, n), dtype=np.int64), 1))
-    assert rational_linalg._full_rank_witness(a)
-    assert integer_rank(a) == n
+def test_the_witness_declines_products_past_2_53(n, peak, monkeypatch):
+    """peak * (I - strict upper ones) has max|G^-1| between 2^24 and 2^31.
+    With 2^k > 2^10 ||G||_inf, the bound ||G||_inf 2^k max|G^-1| on G X
+    passes 2^53, so the witness declines before the product and Bareiss
+    decides."""
+    a = _upper(n, peak)
+    g = (a.T @ a).astype(float)
+    norm = np.abs(g).sum(axis=1).max()
+    assert norm * (norm * 2**10) * np.abs(np.linalg.inv(g)).max() >= 2**53
+    inverted = []
+    monkeypatch.setattr(np.linalg, "inv", _recorded(inverted, np.linalg.inv))
+    assert not rational_linalg._full_rank_witness(a)
+    assert inverted == [n]  # reached the witness: dominance failed
+    assert integer_rank(a) == _bareiss_rank(a) == n
 
 
 def test_int64_min_is_not_a_small_entry():
@@ -145,23 +170,27 @@ def test_int64_min_is_not_a_small_entry():
 
 
 def test_narrow_matrices_stay_on_bareiss(monkeypatch):
-    """No inverse at 16 columns or fewer: dominance certifies the identity,
-    and Bareiss decides the full-rank but non-dominant I - strict upper ones."""
-    eliminated = []
-
-    def recorded(m):
-        eliminated.append(len(m[0]))
-        return _eliminate(m)
-
-    monkeypatch.setattr(np.linalg, "inv", _no_inverse)
-    monkeypatch.setattr(rational_linalg, "_eliminate", recorded)
+    """Width no longer gates the witness.  Dominance certifies the identity
+    with no inverse.  Two full-rank, non-dominant matrices reach the inverse
+    witness, which certifies them: four +-1 columns whose Gram row 0 is
+    (4, 2, 2, 2), and I - strict upper ones at 16 columns.  Twice the latter
+    is declined there (G X would pass 2^53), so it stays on Bareiss."""
+    eliminated, inverted = [], []
+    monkeypatch.setattr(np.linalg, "inv", _recorded(inverted, np.linalg.inv))
+    monkeypatch.setattr(rational_linalg, "_eliminate", _recorded(eliminated, _eliminate))
     eye = np.eye(16, dtype=np.int64)
     assert rational_linalg._full_rank_witness(eye)
     assert integer_rank(eye) == 16
-    a = eye - np.triu(np.ones((16, 16), dtype=np.int64), 1)
-    assert not rational_linalg._full_rank_witness(a)
-    assert integer_rank(a) == 16
-    assert eliminated == [16]  # the identity never reached Bareiss
+    assert inverted == [] and eliminated == []
+    signs = np.ones((4, 4), dtype=np.int64)
+    signs[1, 3] = signs[2, 2] = signs[3, 1] = -1
+    for a in (signs, _upper(16)):
+        assert rational_linalg._full_rank_witness(a)
+        assert integer_rank(a) == len(a)
+    assert inverted == [4, 4, 16, 16] and eliminated == []
+    assert not rational_linalg._full_rank_witness(_upper(16, 2))
+    assert integer_rank(_upper(16, 2)) == 16
+    assert eliminated == [16]
 
 
 def test_dominance_is_strict():
@@ -208,6 +237,57 @@ def test_mabk9_is_certified_without_bareiss(monkeypatch):
     monkeypatch.setattr(rational_linalg, "_eliminate", _unreachable)
     rep = tightness(mabk(9))
     assert (rep.rank, rep.saturating_count, rep.is_tight) == (512, 512, True)
+
+
+def _symmetric_section_facets() -> list[BellExpression]:
+    """The facets of the party-symmetric section of (3,3,3) (Bancal, Gisin &
+    Pironio 2010), each expanded to a full expression.
+
+    One coordinate per multiset mu of three settings: sum over S3 of
+    V[mu o pi].  The section's facets c . x <= t come from the double
+    description's own steps, and c_mu 3! / |orbit mu| / t goes to every index
+    that sorts to mu, so each expansion has local bound 1."""
+    scenario = Scenario((3, 3, 3))
+    verts = distinct_vertices(scenario).reshape(128, 3, 3, 3)
+    multisets = list(itertools.combinations_with_replacement(range(3), 3))
+    perms = list(itertools.permutations(range(3)))
+    coords = [sum(verts[:, mu[p], mu[q], mu[r]] for p, q, r in perms) for mu in multisets]
+    points = np.unique(np.stack(coords, axis=1), axis=0)
+    assert points.shape == (40, 10)
+    rows = np.hstack([points, -np.ones((40, 1), dtype=np.int64)])
+    basis, rays, masks = polytope._initial_cone(rows)
+    for i in range(len(rows)):
+        if i not in basis:
+            rays, masks = polytope._insert_row(rays, masks, rows[i], i)
+    assert len(rays) == 1874
+    orbit = {mu: len(set(itertools.permutations(mu))) for mu in multisets}
+    exprs = []
+    for *c, t in rays.tolist():
+        coeff = {mu: Fraction(6 * c_mu, orbit[mu] * t) for mu, c_mu in zip(multisets, c)}
+        idx = itertools.product(range(3), repeat=3)
+        exprs.append(BellExpression(scenario, [coeff[tuple(sorted(i))] for i in idx]))
+    return exprs
+
+
+def test_the_witness_certifies_the_symmetric_section_facets(monkeypatch):
+    """The witness's real traffic: most tight (3,3,3) section facets are not
+    Gram-dominant, and the inverse witness certifies them without Bareiss."""
+    exprs = _symmetric_section_facets()
+    sample = np.random.default_rng(2010).choice(len(exprs), size=200, replace=False)
+    eliminated, inverted = [], []
+    monkeypatch.setattr(np.linalg, "inv", _recorded(inverted, np.linalg.inv))
+    monkeypatch.setattr(rational_linalg, "_eliminate", _recorded(eliminated, _eliminate))
+    tight = dominant = 0
+    for k in sample.tolist():
+        eliminated.clear()
+        inverted.clear()
+        rep = tightness(exprs[k])
+        assert rep.lr_max == 1
+        if rep.is_tight:
+            assert eliminated == []
+            tight += 1
+            dominant += inverted == []
+    assert (tight, dominant) == (86, 3)  # 83 certified by the witness alone
 
 
 def test_rank_deficient_saturating_rows_get_the_exact_rank():
