@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from .expressions import BellExpression, EnumerationCapExceeded, Scenario, _as_fraction
-from .expressions import _index, _require_exact_size, _sparse
+from .expressions import _index, _over_one_denominator, _require_exact_size, _sparse
 
 __all__ = ["DocumentError", "parse_expression", "serialize_expression"]
 
@@ -96,7 +96,7 @@ def parse_expression(document: str | Mapping[str, Any]) -> BellExpression:
         raise
     tuples = np.array(list(seen), dtype=np.intp).reshape(-1, scenario.parties)
     places = np.ravel_multi_index(tuples.T, scenario.settings).tolist()
-    return _sparse(scenario, zip(places, coefficients))
+    return _sparse(scenario, places, *_over_one_denominator(coefficients))
 
 
 def serialize_expression(

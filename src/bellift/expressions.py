@@ -109,19 +109,22 @@ def _integers(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     values = list(values)
     if all(type(v) is int for v in values):
         return values, 1
-    fracs = [_as_fraction(v) for v in values]
+    return _over_one_denominator([_as_fraction(v) for v in values])
+
+
+def _over_one_denominator(fracs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Fractions, already read, as integer numerators over the lcm of their denominators."""
     den = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-def _sparse(scenario: Scenario, terms: Iterable[tuple[int, RationalLike]]) -> BellExpression:
-    """An expression from ``(flat place, coefficient)`` pairs: the numerators over
-    one denominator are written straight into place, and repeated places add up."""
-    _require_exact_size(scenario)  # before the terms are consumed
-    terms = list(terms)
-    numerators, den = _integers(c for _, c in terms)
+def _sparse(
+    scenario: Scenario, places: Iterable[int], numerators: Iterable[int], den: int
+) -> BellExpression:
+    """An expression from flat places and their numerators over ``den``: each is
+    written straight into place, and repeated places add up."""
     nums = [0] * scenario.dimension
-    for (place, _), n in zip(terms, numerators):
+    for place, n in zip(places, numerators):
         nums[place] += n
     return _exact(scenario, nums, den)
 
@@ -221,7 +224,9 @@ class BellExpression:
         terms: Iterable[tuple[Sequence[int], RationalLike]],
     ) -> BellExpression:
         """Build from sparse ``(setting tuple, coefficient)`` pairs; repeats add up."""
-        return _sparse(scenario, ((scenario.flat_index(idx), c) for idx, c in terms))
+        _require_exact_size(scenario)  # before the terms are consumed
+        placed = [(scenario.flat_index(idx), c) for idx, c in terms]
+        return _sparse(scenario, [p for p, _ in placed], *_integers(c for _, c in placed))
 
     @classmethod
     def from_product(
@@ -292,6 +297,14 @@ def _exact(scenario: Scenario, numerators: Sequence[int], denominator: int) -> B
     return expr
 
 
+def _strategy(outcomes: tuple[tuple[int, ...], ...]) -> DeterministicStrategy:
+    """A strategy from tuples of Python-int outcomes +-1 that bellift built
+    itself, so they are not checked again."""
+    strategy = object.__new__(DeterministicStrategy)
+    object.__setattr__(strategy, "outcomes", outcomes)
+    return strategy
+
+
 def _require_same_scenario(*exprs: BellExpression) -> None:
     scenario = exprs[0].scenario
     for e in exprs[1:]:
@@ -306,18 +319,14 @@ def evaluate(expr: BellExpression, strategy: DeterministicStrategy) -> Fraction:
 
 
 def _combine(
-    weight_rows: Sequence[Sequence[RationalLike]], exprs: Sequence[BellExpression]
+    weight_rows: Sequence[Sequence[int]], den: int, exprs: Sequence[BellExpression]
 ) -> tuple[list[int], int]:
-    """Numerators of sum_k row[k] * exprs[k] for every row, flat one row after
-    another, over one common denominator: a single integer matrix product."""
+    """Numerators of sum_k row[k] / den * exprs[k] for every integer row, flat
+    one row after another, over one common denominator: a single integer
+    matrix product."""
     _require_same_scenario(*exprs)
-    weights, den = _integers(w for row in weight_rows for w in row)
     lcm = math.lcm(*(e.denominator for e in exprs))
-    k = len(exprs)
-    scales = [
-        [w * (lcm // e.denominator) for w, e in zip(weights[i : i + k], exprs)]
-        for i in range(0, len(weights), k)
-    ]
+    scales = [[w * (lcm // e.denominator) for w, e in zip(row, exprs)] for row in weight_rows]
     rows = [e.numerators for e in exprs]
     try:  # the peak |numerator| in one pass; as uint64, |-2^63| = 2^63 stays exact
         nums = np.array(rows, dtype=np.int64)
@@ -340,7 +349,8 @@ def linear_combine(
     if not terms:
         raise ValueError("linear_combine needs at least one term")
     weights, exprs = zip(*terms)
-    return _exact(exprs[0].scenario, *_combine([weights], exprs))
+    numerators, den = _integers(weights)
+    return _exact(exprs[0].scenario, *_combine([numerators], den, exprs))
 
 
 def permute_parties(expr: BellExpression, order: Sequence[int]) -> BellExpression:

@@ -61,27 +61,28 @@ class LiftDiagnostics:
     compatibility_witness: DeterministicStrategy | None = None
 
 
-# Row j weighs the inputs into block j: (I+, I-) for lift2, (I0, I2, I3) for lift3.
-# The blocks, flat one after another, are the C-order coefficients of the output,
-# so one integer matrix product over a common denominator builds all of them.
-_HALF, _ZERO = Fraction(1, 2), Fraction(0)
-_LIFT2 = ((_HALF, _HALF), (_HALF, -_HALF))
-_LIFT3 = ((_ZERO, _HALF, _HALF), (_HALF, -_HALF, _ZERO), (_HALF, _ZERO, -_HALF))
+# Row j over the denominator weighs the inputs into block j: (I+, I-) for lift2,
+# (I0, I2, I3) for lift3.  The blocks, flat one after another, are the C-order
+# coefficients of the output, so one integer matrix product builds all of them.
+_LIFT2 = (((1, 1), (1, -1)), 2)
+_LIFT3 = (((0, 1, 1), (1, -1, 0), (1, 0, -1)), 2)
 
 
 def _lift(
-    weights: tuple[tuple[Fraction, ...], ...],
+    weights: tuple[tuple[tuple[int, ...], ...], int],
     inputs: tuple[BellExpression, ...],
     diagnose: bool,
     compatibility: Callable | None = None,
 ) -> tuple[BellExpression, LiftDiagnostics]:
-    """Prepend a party whose block j is sum_k weights[j][k] * inputs[k].
+    """Prepend a party whose block j is sum_k rows[j][k] / den * inputs[k],
+    where ``weights`` is (rows, den).
 
     ``compatibility(*inputs)``, if given, runs whether or not ``diagnose`` is
     set, and only once the output is built, so the output's size cap is met first.
     """
-    scenario = Scenario((len(weights),) + inputs[0].scenario.settings)
-    out = _exact(scenario, *_combine(weights, inputs))
+    rows, den = weights
+    scenario = Scenario((len(rows),) + inputs[0].scenario.settings)
+    out = _exact(scenario, *_combine(rows, den, inputs))
     valid, witness = compatibility(*inputs) if compatibility else (None, None)
     inputs_tight = output_tight = None
     if diagnose:

@@ -9,7 +9,10 @@ Fraction, saturation means value exactly 1, ranks come from
 matrix, then an inverse witness checked by one exact float64 product,
 certifies full rank, and anything else falls back to the fraction-free
 elimination), and the facet enumeration is an integer double description
-whose rays never leave int64.
+whose rays never leave int64.  ``tightness`` forms the saturating Gram
+matrix without the saturating rows: one float64 matmul per party contracts
+the saturating mask against that party's pair table, and every entry is an
+integer no larger than the saturating count.
 
 Strategies are taken in *bit order*: strategy k is the one whose
 concatenated outcome bits (party-major, setting-major; bit 0 encodes
@@ -20,12 +23,13 @@ every party but the last.  It is the first strategy of its class in bit
 order.  Vertices are enumerated once each, as their canonical strategies in
 bit order, so vertex lists, maximizers and witnesses are deterministic.
 
-Each party's canonical outcome rows are built once per scenario and kept
-read-only.  The values of every canonical strategy come from one broadcast
-integer matrix product per party against those rows.
+Each party's canonical outcome rows, and its pair table of their products
+r[i] r[j], are built once per scenario and kept read-only.  The values of
+every canonical strategy come from one broadcast integer matrix product per
+party against those rows.
 
 bellift caches only what its callers ask for again: these per-scenario
-rows, the facet lists of ``enumerate_facets``, the compiled relabellings of
+tables, the facet lists of ``enumerate_facets``, the compiled relabellings of
 ``expressions`` and the built-in expressions of ``lifting``.  Certificates of
 one expression (``lr_max``, ``tightness``) are recomputed on every call: a
 search or census feeds them a stream of distinct expressions, so a cache
@@ -50,8 +54,9 @@ from .expressions import (
     Scenario,
     _exact,
     _refuse_over_cap,
+    _strategy,
 )
-from .rational_linalg import integer_rank
+from . import rational_linalg
 
 FACET_RAY_CAP = 2**20  # intermediate rays of the facet enumeration
 RANK_WORK_CAP = 2**30  # rows * cols * min(rows, cols) of a saturating-row rank
@@ -94,6 +99,56 @@ def _canonical_rows(scenario: Scenario) -> tuple[np.ndarray, ...]:
     return rows
 
 
+@lru_cache(maxsize=64)
+def _gram_plan(scenario: Scenario) -> tuple | None:
+    """How ``_saturating_gram`` contracts the scenario, or None past
+    ``ENUMERATION_CAP`` table entries (sum over parties of k_p * m_p^2).
+
+    The plan is: the party order, with the parties that shrink the tensor
+    (k_p > m_p^2) first; in that order, each party's read-only float64 pair
+    table Q[k, (i, j)] = r_k[i] r_k[j] over its canonical outcome rows r_k;
+    and the shape and axis order that turn the contracted tensor into G.
+    """
+    rows, settings = _canonical_rows(scenario), scenario.settings
+    if sum(r.size * r.shape[1] for r in rows) > ENUMERATION_CAP:
+        return None
+    order = sorted(range(len(rows)), key=lambda p: len(rows[p]) <= settings[p] ** 2)
+    tables = tuple(
+        (rows[p][:, :, None] * rows[p][:, None, :]).reshape(len(rows[p]), -1).astype(np.float64)
+        for p in order
+    )
+    for table in tables:
+        table.setflags(write=False)
+    where = [order.index(p) for p in range(len(rows))]
+    shape = [settings[p] for p in order for _ in range(2)]  # (i, j) per party, in plan order
+    axes = [2 * a for a in where] + [2 * a + 1 for a in where]  # every i, then every j
+    return order, tables, shape, axes
+
+
+def _saturating_gram(plan: tuple, scenario: Scenario, ids: np.ndarray) -> np.ndarray:
+    """G = A^T A in float64, where A holds the admissible vectors of the
+    canonical strategies with flat ids ``ids``, without building A.
+
+    G[(i_p), (j_p)] = sum over k in ids of prod_p r_{k_p}[i_p] r_{k_p}[j_p].
+    The 0/1 mask of ``ids``, laid out with the plan's parties in its order,
+    is contracted one party at a time, one matmul against its pair table
+    each: the leading strategy axis leaves, and its setting-pair axis is
+    appended.  Shrinking parties go first, so no intermediate holds more
+    than max(vertex count, D^2) entries.  Each entry and partial sum is an
+    integer of magnitude at most ``len(ids)``, which float64 holds exactly.
+    """
+    order, tables, shape, axes = plan
+    dims = [len(q) for q in tables]
+    if order != sorted(order):  # the mask's axes follow the plan's order
+        picks = np.unravel_index(ids, [len(r) for r in _canonical_rows(scenario)])
+        ids = np.ravel_multi_index([picks[p] for p in order], dims)
+    t = np.zeros(math.prod(dims))
+    t[ids] = 1.0
+    for table in tables:
+        t = t.reshape(len(table), -1).T @ table
+    return t.reshape(shape).transpose(axes).reshape(scenario.dimension, scenario.dimension)
+
+
 def _vertices(rows: tuple[np.ndarray, ...], ids: np.ndarray) -> np.ndarray:
     """Admissible vectors (rows) of the canonical strategies with flat ids ``ids``."""
     vecs = np.ones((len(ids), 1), dtype=np.int64)
@@ -126,7 +181,7 @@ def lr_max_with_witness(expr: BellExpression) -> tuple[Fraction, DeterministicSt
     rows, vals = _vertex_values(expr)
     best = int(np.argmax(vals))
     picks = np.unravel_index(best, [len(r) for r in rows])
-    witness = DeterministicStrategy(tuple(party[i].tolist() for party, i in zip(rows, picks)))
+    witness = _strategy(tuple(tuple(party[i].tolist()) for party, i in zip(rows, picks)))
     return Fraction(int(vals[best]), expr.denominator), witness
 
 
@@ -171,6 +226,10 @@ def tightness(expr: BellExpression) -> TightnessReport:
 
     Saturating rows of more than ``ENUMERATION_CAP`` entries, or whose rank
     takes more than ``RANK_WORK_CAP`` elimination steps, are refused unbuilt.
+    With at least D saturating vertices, their Gram matrix G = A^T A is
+    contracted from the pair tables and certified; the +-1 rows A are built
+    only when the certificate fails, and then Bareiss decides at once.  With
+    fewer, or past the pair tables' cap, ``integer_rank`` takes the rows.
     """
     rows, vals = _vertex_values(expr)
     lr = Fraction(int(vals.max()), expr.denominator)
@@ -182,7 +241,14 @@ def tightness(expr: BellExpression) -> TightnessReport:
         (count * cols * min(count, cols), RANK_WORK_CAP, "elimination steps"),
     ):
         _refuse_over_cap(size, cap, message, count=count, cols=cols, unit=unit)
-    rank, valid = integer_rank(_vertices(rows, saturating)), lr <= 1
+    plan = _gram_plan(expr.scenario) if count >= cols else None
+    if plan is None:
+        rank = rational_linalg.integer_rank(_vertices(rows, saturating))
+    elif rational_linalg._nonsingular(_saturating_gram(plan, expr.scenario, saturating)):
+        rank = cols
+    else:  # the certificate had its one try on G: Bareiss on the saturating rows decides
+        rank = rational_linalg._eliminate(_vertices(rows, saturating).tolist())
+    valid = lr <= 1
     return TightnessReport(lr, count, rank, valid, is_tight=valid and rank == cols)
 
 

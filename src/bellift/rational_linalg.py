@@ -6,11 +6,14 @@ certified more cheaply, and integer matrices never leave integer arithmetic.
 Pivots are the first nonzero entry in column order, so the computation is
 deterministic for a given row order.
 
-A matrix comes as one 2-D array of integers that fit int64, such as the
-saturating vertex rows (entries +-1) that ``polytope.tightness`` builds.
+A matrix A comes as one 2-D array of integers that fit int64, and its rank
+is decided in two steps.  First the Gram matrix G of its short side is formed
+(A^T A if A is tall, A A^T if wide): over Q, rank(G) = rank(A).  Then G is
+certified nonsingular, so that A has full rank (``_nonsingular``), or Bareiss
+on A decides.  A caller that can form G without A's rows certifies its own
+G: ``polytope.tightness`` contracts its saturating vertices party by party
+and builds their +-1 rows only when Bareiss needs them.
 
-Every matrix A is first tried for full rank on the Gram matrix G of its
-short side (A^T A if A is tall, A A^T if wide): over Q, rank(G) = rank(A).
 One exactness rule covers every product on G's side: it is one float64
 matmul whose entries and partial sums are integers below 2^53, which
 float64 holds exactly.  G qualifies while (long side) * max|a|^2 < 2^53.
@@ -18,8 +21,8 @@ The certificates come in one order at every width.  If G is strictly
 diagonally dominant (2|g_ii| > sum_j |g_ij| on every row), it is
 nonsingular (Levy-Desplanques), so A has full rank.  Otherwise the float
 inverse of G proposes an integer witness X, and one exact product G X
-proves G nonsingular (``_full_rank_witness``).  Where a product would
-break the rule or neither certificate holds, Bareiss on A decides.
+proves G nonsingular.  Where a product would break the rule or neither
+certificate holds, Bareiss on A decides.
 """
 
 from __future__ import annotations
@@ -67,17 +70,16 @@ def _gram(a: np.ndarray) -> np.ndarray | None:
     return f.T @ f
 
 
-def _full_rank_witness(a: np.ndarray) -> bool:
-    """Whether an exact certificate proves that ``a`` has full rank min(rows, cols).
+def _nonsingular(g: np.ndarray | None) -> bool:
+    """Whether an exact certificate proves the float64 Gram matrix ``g`` nonsingular.
 
-    First strict diagonal dominance of the Gram matrix G, which makes G
-    nonsingular.  Failing that, the float inverse of G proposes
-    X = rint(2^k G^-1), and R = 2^k I - G X is one float64 product, exact
-    under the module's rule or declined.  With max_i sum_j |R_ij| < 2^k,
-    G X = 2^k (I - R / 2^k) is nonsingular, so G is, and rank(a) = rank(G)
-    is full.  False means "not certified" only.
+    ``g`` holds integers (None, from ``_gram``, is never certified).  First
+    strict diagonal dominance, which makes G nonsingular.  Failing that, the
+    float inverse of G proposes X = rint(2^k G^-1), and R = 2^k I - G X is one
+    float64 product, exact under the module's rule or declined.  With
+    max_i sum_j |R_ij| < 2^k, G X = 2^k (I - R / 2^k) is nonsingular, so G
+    is.  False means "not certified" only.
     """
-    g = _gram(a)
     if g is None:
         return False
     mag = np.abs(g)
@@ -98,6 +100,11 @@ def _full_rank_witness(a: np.ndarray) -> bool:
         return False
     r = np.abs(scale * np.eye(n) - g @ np.rint(x * scale))
     return bool(r.sum(axis=1).max(initial=0) < scale)
+
+
+def _full_rank_witness(a: np.ndarray) -> bool:
+    """Whether an exact certificate proves that ``a`` has full rank min(rows, cols)."""
+    return _nonsingular(_gram(a))
 
 
 def integer_rank(a: np.ndarray) -> int:

@@ -19,6 +19,7 @@ from bellift import (
     distinct_vertices,
     enumerate_facets,
     evaluate,
+    four_party_19,
     lift2,
     linear_combine,
     lr_max,
@@ -182,14 +183,22 @@ def test_invalid_expression_is_not_tight():
 
 
 def test_tightness_sizes_the_saturating_rows_before_building_them(monkeypatch):
+    """A refusal comes before anything is built: neither the saturating rows
+    nor their contracted Gram matrix.  At the caps, a dominant Gram matrix
+    decides, so the rows are never built."""
     built = []
+    gram = polytope._saturating_gram
 
-    def record(rows, ids):
-        built.append(len(ids))
+    def record_rows(rows, ids):
+        built.append(("rows", len(ids)))
         return np.zeros((len(ids), 1), dtype=np.int64)
 
-    monkeypatch.setattr(polytope, "_vertices", record)
-    monkeypatch.setattr(polytope, "integer_rank", lambda rows: 0)
+    def record_gram(plan, scenario, ids):
+        built.append(("gram", len(ids)))
+        return gram(plan, scenario, ids)
+
+    monkeypatch.setattr(polytope, "_vertices", record_rows)
+    monkeypatch.setattr(polytope, "_saturating_gram", record_gram)
     # 2^18 saturating vertices x 343 coordinates: refused, nothing built
     one_term = expr(Scenario((7, 7, 7)), [((0, 0, 0), 1)])
     with pytest.raises(EnumerationCapExceeded, match="262144 saturating vertices"):
@@ -200,9 +209,62 @@ def test_tightness_sizes_the_saturating_rows_before_building_them(monkeypatch):
     assert built == []
     # 2^18 saturating vertices x 64 coordinates sit exactly at both caps, and
     # mabk(10)'s 1024 x 1024 exactly at the work cap
-    tightness(expr(Scenario((16, 4)), [((0, 0), 1)]))
-    tightness(mabk(10))
-    assert built == [2**18, 1024]
+    assert tightness(expr(Scenario((16, 4)), [((0, 0), 1)])).is_tight
+    assert tightness(mabk(10)).is_tight
+    assert built == [("gram", 2**18), ("gram", 1024)]
+
+
+def test_pair_tables_past_the_cap_leave_the_rank_to_the_rows(monkeypatch):
+    """(17,) would need 2^17 x 17^2 pair-table entries, past the 2^24 cap, so
+    no table is built and integer_rank takes the 2^16 saturating rows."""
+    assert polytope._gram_plan(Scenario((17,))) is None
+    monkeypatch.setattr(polytope, "_saturating_gram", None)
+    rep = tightness(expr(Scenario((17,)), [((0,), 1)]))
+    assert (rep.saturating_count, rep.rank, rep.is_tight) == (2**16, 17, True)
+
+
+def _spied(plan):
+    """``plan`` whose pair tables append, at each matmul, the sizes of its
+    left operand and of its result to the returned list."""
+    sizes = []
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            out = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+            sizes.extend([inputs[0].size, out.size])
+            return out
+
+    order, tables, *rest = plan
+    return (order, tuple(t.view(Spy) for t in tables), *rest), sizes
+
+
+def test_contracted_gram_equals_the_explicit_product():
+    """The Gram matrix contracted party by party is A^T A of the explicit
+    rows A, exactly, and no intermediate holds more than max(vertex count,
+    D^2) entries.  Each expression gives two vertex sets: its maximizers
+    (the saturating set of every facet and built-in) and its vertices of
+    value >= 0, which are not tight.  At (2, 5) the last party shrinks the
+    tensor (32 strategies > 5^2 setting pairs), so the order matters."""
+    exprs = [f for s in ((2, 2), (2, 3), (2, 2, 2), (3, 3)) for f in enumerate_facets(Scenario(s))]
+    exprs += [wbz333(), four_party_19(), *(mabk(n) for n in range(2, 10))]
+    rng = np.random.default_rng(29)
+    for settings in ((5, 2), (2, 5), (2, 2, 2), (3, 2, 2), (1, 4)):
+        scenario = Scenario(settings)
+        for _ in range(10):
+            c = rng.integers(-2, 3, size=scenario.dimension)
+            exprs.append(BellExpression(scenario, [int(x) for x in c]))
+    sets = 0
+    for e in exprs:
+        rows, vals = polytope._vertex_values(e)
+        vertices, d = vals.size, e.scenario.dimension
+        for ids in (np.flatnonzero(vals == e.denominator), np.flatnonzero(vals >= 0)):
+            a = polytope._vertices(rows, ids)
+            plan, sizes = _spied(polytope._gram_plan(e.scenario))
+            gram = polytope._saturating_gram(plan, e.scenario, ids)
+            assert gram.tolist() == (a.T @ a).tolist()
+            assert max(sizes) <= max(vertices, d * d)
+            sets += 1
+    assert sets == 2 * (16 + 36 + 256 + 90 + 2 + 8 + 50)
 
 
 @pytest.mark.parametrize(

@@ -218,19 +218,53 @@ def test_facets_are_certified_by_dominance_alone(monkeypatch):
 
 
 def test_four_party_facet_is_certified_without_bareiss(monkeypatch):
-    expr = four_party_19()
-    shapes = []
-    witness = rational_linalg._full_rank_witness
-
-    def recorded(a):
-        shapes.append(a.shape)
-        return witness(a)
-
+    """One certificate on the contracted 81 x 81 Gram matrix decides: the
+    256 saturating rows are never built, and Bareiss is never reached."""
+    certified = []
     monkeypatch.setattr(rational_linalg, "_eliminate", _unreachable)
-    monkeypatch.setattr(rational_linalg, "_full_rank_witness", recorded)
-    rep = tightness(expr)
+    monkeypatch.setattr(polytope, "_vertices", lambda rows, ids: _unreachable(ids))
+    monkeypatch.setattr(
+        rational_linalg, "_nonsingular", _recorded(certified, rational_linalg._nonsingular)
+    )
+    rep = tightness(four_party_19())
     assert (rep.rank, rep.saturating_count, rep.is_tight) == (81, 256, True)
-    assert shapes == [(256, 81)]  # one witness for the saturating rows
+    assert certified == [81]  # one certificate, on the 81 x 81 Gram matrix
+
+
+@pytest.mark.parametrize(
+    "settings, terms, count, rank",
+    [
+        ((5,), [((0,), "1/2"), ((1,), "1/2")], 8, 4),  # coordinates 0 and 1 agree
+        ((2, 4), [((0, 0), "1/2"), ((0, 1), "1/2")], 8, 6),  # b0 = b1 = 1
+    ],
+)
+def test_a_deficient_saturating_set_gets_one_certificate_then_bareiss(
+    settings, terms, count, rank, monkeypatch
+):
+    """At least D saturating vertices of rank below D: the contracted Gram
+    matrix gets one certificate, which fails, and Bareiss on the saturating
+    rows decides at once, with no second certificate through integer_rank."""
+    certified, eliminated = [], []
+    monkeypatch.setattr(
+        rational_linalg, "_nonsingular", _recorded(certified, rational_linalg._nonsingular)
+    )
+    monkeypatch.setattr(rational_linalg, "_eliminate", _recorded(eliminated, _eliminate))
+    monkeypatch.setattr(rational_linalg, "integer_rank", _unreachable)
+    scenario = Scenario(settings)
+    rep = tightness(BellExpression.from_terms(scenario, terms))
+    assert (rep.lr_max, rep.saturating_count, rep.rank, rep.is_tight) == (1, count, rank, False)
+    assert count >= scenario.dimension
+    assert certified == [scenario.dimension] and eliminated == [count]
+
+
+def test_fewer_saturating_vertices_than_columns_take_the_rows(monkeypatch):
+    """Below D saturating vertices, integer_rank certifies their rows through
+    the short side's Gram matrix A A^T: no contraction and no Bareiss."""
+    monkeypatch.setattr(polytope, "_saturating_gram", None)
+    monkeypatch.setattr(rational_linalg, "_eliminate", _unreachable)
+    half = [((0, 0), "1/2"), ((0, 1), "1/2")]  # a0 b0 = a0 b1 = 1
+    rep = tightness(BellExpression.from_terms(Scenario((2, 2)), half))
+    assert (rep.lr_max, rep.saturating_count, rep.rank, rep.is_tight) == (1, 2, 2, False)
 
 
 def test_mabk9_is_certified_without_bareiss(monkeypatch):
