@@ -30,10 +30,12 @@ party against those rows.
 
 bellift caches only what its callers ask for again: these per-scenario
 tables, the facet lists of ``enumerate_facets``, the compiled relabellings of
-``expressions`` and the built-in expressions of ``lifting``.  Certificates of
-one expression (``lr_max``, ``tightness``) are recomputed on every call: a
-search or census feeds them a stream of distinct expressions, so a cache
-would pin them without being hit.  ``distinct_vertices`` is rebuilt too; its
+``expressions``, the built-in expressions of ``lifting``, and the see-saw's
+initial directions in ``quantum`` (one entry of restarts x settings x 3
+floats, no larger than the capped batch of the call that drew them).
+Certificates of one expression (``lr_max``, ``tightness``) are recomputed on
+every call: a search or census feeds them a stream of distinct expressions,
+so a cache would pin them without being hit.  ``distinct_vertices`` is rebuilt too; its
 one library caller, ``enumerate_facets``, is cached.
 """
 

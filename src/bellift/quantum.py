@@ -20,7 +20,8 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -411,6 +412,21 @@ class SeesawResult:
     restarts: tuple[tuple[float, int, bool], ...]
 
 
+@lru_cache(maxsize=1)
+def _initial_directions(seed: int, restarts: int, settings_total: int) -> np.ndarray:
+    """Every restart's random unit directions, read-only, shape (restarts, settings_total, 3).
+
+    Restart r draws from its own RNG, the r-th child of ``SeedSequence(seed)``.
+    The one entry kept holds restarts x settings_total x 3 floats, no more than
+    the capped see-saw batch of the call that asked for it.
+    """
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
+    draws = np.stack([rng.normal(size=(settings_total, 3)) for rng in rngs])
+    directions = draws / np.linalg.norm(draws, axis=2, keepdims=True)
+    directions.setflags(write=False)
+    return directions
+
+
 def seesaw_maximize(
     expr: BellExpression,
     state: QuantumState,
@@ -423,18 +439,21 @@ def seesaw_maximize(
     the direction by W/|W| (kept unchanged when W = 0).  A restart sweeps
     until its improvement drops below ``tol`` or ``max_sweeps`` is hit; the
     search starts ``restarts`` times from random directions, each drawn from
-    its own RNG split from the master seed.  The restarts run as one batch
-    over the kernel ``coeffs x T``, each party's setting and Pauli axes fused
-    into one.  A sweep takes the parties in pairs (p, p + 1), an odd last
-    party alone.  One contraction of the kernel with the other parties'
-    directions gives the pair's matrix M; W_p = M u_{p+1} updates party p,
-    then W_{p+1} = M^T u_p, from the new u_p, updates party p + 1, so the
-    parties update in order as if one at a time.  The value is <W, u> of a
-    gradient and its party's directions (party 0 before the first sweep, the
-    last party after each); a restart leaves the batch once it stops.  The
-    earliest restart within ``_SEESAW_TIE_ROUNDOFF`` of the best value wins.
-    This is a heuristic for the true quantum maximum: values are certified
-    lower bounds only.
+    its own RNG split from the master seed (``_initial_directions``).  The
+    restarts run as one batch over the kernel ``coeffs x T``, each party's
+    setting and Pauli axes fused into one.  A sweep takes the parties in
+    pairs (p, p + 1), an odd last party alone.  Each pair keeps its kernel as
+    one matrix, the other parties' axes as rows and the pair's as columns;
+    the outer product v of the other parties' directions, one elementwise
+    product per further party, then gives every restart's pair matrix M by
+    one GEMM, v @ K.  W_p = M u_{p+1} updates party p, then W_{p+1} = M^T u_p,
+    from the new u_p, updates party p + 1, so the parties update in order as
+    if one at a time.  The value is <W, u> of a gradient and its party's
+    directions (party 0 before the first sweep, the last party after each);
+    a restart leaves the batch once it stops, and only then are the views of
+    the batch rebuilt.  The earliest restart within ``_SEESAW_TIE_ROUNDOFF``
+    of the best value wins.  This is a heuristic for the true quantum
+    maximum: values are certified lower bounds only.
     """
     cfg = config or SeesawConfig()
     scenario = expr.scenario
@@ -456,61 +475,65 @@ def seesaw_maximize(
     # kernel[(j_0, i_0), ..., (j_n-1, i_n-1)] = coeffs[j_0, ...] * corr[i_0, ...]
     fused = [ax for p in range(n) for ax in (p, n + p)]
     kernel = np.multiply.outer(coeffs, corr).transpose(fused).reshape(dims)
-    plans = []  # (pair, the other parties, the pair's kernel copy)
+    plans = []  # (pair, the other parties, the pair's kernel matrix)
     for p in range(0, n, 2):
         pair = tuple(range(p, min(p + 2, n)))
         others = [q for q in range(n) if q not in pair]
-        # the party contracted first leads, so its product reads one contiguous matrix;
-        # the pair's axes follow, and the other parties contract from the end
-        axes = [*others[-1:], *pair, *others[:-1]]
-        plans.append((pair, others, np.ascontiguousarray(kernel.transpose(axes))))
-
-    def pair_gradients(plan: tuple, units: list[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (p, W_p) for each party p of the plan's pair in turn.
-
-        The caller updates ``units[p]`` before taking the next one, which the
-        second party's W = M^T u_p then reads.
-        """
-        pair, others, t = plan
-        batch = len(units[0])
-        if not others:
-            t = np.broadcast_to(t, (batch, *t.shape))
-        else:
-            *rest, q = others
-            t = units[q].reshape(batch, -1) @ t.reshape(dims[q], -1)
-            for q in reversed(rest):
-                t = np.matmul(t.reshape(batch, -1, dims[q]), units[q].reshape(batch, -1, 1))
-        m = t.reshape(batch, *(dims[p] for p in pair))
-        if len(pair) == 1:
-            yield pair[0], m
-            return
-        p, q = pair
-        yield p, np.matmul(m, units[q].reshape(batch, -1, 1))
-        yield q, np.matmul(units[p].reshape(batch, 1, -1), m)
+        k = kernel.transpose([*others, *pair])
+        if others:
+            k = k.reshape(-1, math.prod(dims[q] for q in pair))
+        plans.append((pair, others, np.ascontiguousarray(k)))
 
     restarts = cfg.restarts
-    # u[r] holds restart r's directions party after party; units[p] are views of party p's rows
     cuts = np.cumsum(scenario.settings)[:-1]
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(restarts)]
-    draws = np.stack([rng.normal(size=(sum(scenario.settings), 3)) for rng in rngs])
-    final = draws / np.linalg.norm(draws, axis=2, keepdims=True)
-    u = final.copy()
-    units = np.split(u, cuts, axis=1)
-    _, w = next(pair_gradients(plans[0], units))
+    # final[r] holds restart r's directions party after party, as of its last sweep
+    final = _initial_directions(cfg.seed, restarts, sum(scenario.settings)).copy()
+    # the batch: units[p] holds party p's (m_p, 3) directions of every live restart
+    units = [d.copy() for d in np.split(final, cuts, axis=1)]
+
+    def views(units: list[np.ndarray]) -> tuple[list, list, list]:
+        """Each party's directions as (b, 3m_p), (b, 3m_p, 1) and (b, 1, 3m_p) views."""
+        flat = [d.reshape(len(d), dim) for d, dim in zip(units, dims)]
+        return flat, [f[:, :, None] for f in flat], [f[:, None, :] for f in flat]
+
+    def pair_matrix(others: list[int], k: np.ndarray) -> np.ndarray:
+        """Every restart's pair matrix M, flat: v of the other parties' directions, times K."""
+        if not others:
+            return k
+        first, *rest = others
+        v = flat[first]
+        for q in rest:
+            v = (v[:, :, None] * cols[q]).reshape(len(v), -1)
+        return v @ k
+
+    def turn(p: int, w: np.ndarray) -> None:
+        """Point party p's directions along its gradient W."""
+        w = w.reshape(-1, scenario.settings[p], 3)
+        norms = np.sqrt(np.vecdot(w, w, keepdims=True))
+        np.divide(w, norms, out=units[p], where=norms != 0)  # W = 0 keeps the direction
+
+    flat, rows, cols = views(units)
+    pair, others, k = plans[0]
+    w = pair_matrix(others, k)
+    if len(pair) == 2:
+        w = np.matmul(w.reshape(-1, dims[0], dims[1]), rows[1])
     # history[s][r] is restart r's value after s sweeps
-    history = [np.vecdot(w.reshape(restarts, -1), units[0].reshape(restarts, -1))]
+    history = [np.vecdot(w.reshape(-1, dims[0]), flat[0])]
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     active = np.arange(restarts)
     for sweep in range(1, cfg.max_sweeps + 1):
         if not active.size:
             break
-        for plan in plans:
-            for p, w in pair_gradients(plan, units):
-                w = w.reshape(units[p].shape)
-                norms = np.sqrt(np.add.reduce(w * w, axis=2, keepdims=True))
-                np.divide(w, norms, out=units[p], where=norms != 0)  # W = 0 keeps the direction
-        now = np.vecdot(w.reshape(len(u), -1), units[-1].reshape(len(u), -1))  # <W, u>, last party
+        for pair, others, k in plans:
+            w = pair_matrix(others, k)
+            if len(pair) == 2:
+                p, q = pair
+                m = w.reshape(-1, dims[p], dims[q])
+                turn(p, np.matmul(m, rows[q]))
+                w = np.matmul(cols[p], m)
+            turn(pair[-1], w)
+        now = np.vecdot(w.reshape(-1, dims[-1]), flat[-1])  # <W, u>, last party
         done = now - history[-1][active] < cfg.tol
         history.append(history[-1].copy())
         history[-1][active] = now
@@ -518,9 +541,9 @@ def seesaw_maximize(
         if stop.any():
             converged[active[done]] = True
             sweeps[active[stop]] = sweep
-            final[active[stop]] = u[stop]
-            u = u[~stop]
-            units = np.split(u, cuts, axis=1)
+            final[active[stop]] = np.concatenate([d[stop] for d in units], axis=1)
+            units = [d[~stop] for d in units]
+            flat, rows, cols = views(units)
             active = active[~stop]
 
     values = history[-1]

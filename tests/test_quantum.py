@@ -590,6 +590,31 @@ def _initial_directions(cfg, restart, settings):
     return [d / np.linalg.norm(d, axis=1, keepdims=True) for d in draws]
 
 
+@pytest.mark.parametrize(
+    "seed, restarts, settings", [(0, 50, (3, 3, 3, 3)), (7, 1, (3, 2)), (123456789, 8, (2,) * 6)]
+)
+def test_initial_directions_are_the_per_restart_draws(seed, restarts, settings):
+    cfg = SeesawConfig(restarts=restarts, seed=seed)
+    recipe = np.stack(
+        [np.concatenate(_initial_directions(cfg, r, settings)) for r in range(restarts)]
+    )
+    drawn = quantum._initial_directions(seed, restarts, sum(settings))
+    assert np.array_equal(drawn, recipe)
+    assert not drawn.flags.writeable
+    with pytest.raises(ValueError):
+        drawn[0, 0, 0] = 0.0
+
+
+def test_writing_into_returned_settings_leaves_the_next_draws_alone():
+    cfg = SeesawConfig(restarts=1, max_sweeps=0, seed=4)
+    initial = _initial_directions(cfg, 0, (2, 2))
+    vector = seesaw_maximize(CHSH, BELL, cfg).settings.vectors[0]
+    vector.setflags(write=True)
+    vector[:] = 0.0
+    again = seesaw_maximize(CHSH, BELL, cfg).settings.vectors
+    assert all(np.array_equal(a, b) for a, b in zip(again, initial))
+
+
 def _seesaw_oracle(expr, state, cfg):
     """The see-saw one restart at a time, with one einsum per value or gradient.
 
@@ -644,7 +669,8 @@ def _weak_mixed_state():
 
 
 # four_party_19 pairs its four parties fully; the rest cover one pair with
-# nothing left to contract, a lone last party (odd n) and uneven settings
+# nothing left to contract, a lone last party (odd n), uneven settings, and six
+# parties, where each pair's v is the outer product of four other parties
 _ORACLE_CASES = {
     "chi": lambda: (four_party_19(), make_state("chi")),
     "w4": lambda: (four_party_19(), make_state("w4")),
@@ -652,6 +678,7 @@ _ORACLE_CASES = {
     "mabk2-ghz2": lambda: (mabk(2), make_state("ghz", 2)),
     "mabk3-ghz3": lambda: (mabk(3), make_state("ghz", 3)),
     "mabk5-ghz5": lambda: (mabk(5), make_state("ghz", 5)),
+    "mabk6-ghz6": lambda: (mabk(6), make_state("ghz", 6)),
     "lift2-2333-chi": lambda: (lift2(wbz333(), symmetry_images()[0])[0], make_state("chi")),
 }
 
