@@ -341,6 +341,24 @@ def _combine(
     return out.ravel().tolist(), den * lcm
 
 
+def _contract(t: np.ndarray, mats: Sequence[np.ndarray], order: Iterable[int]) -> np.ndarray:
+    """``t``, read in C order, with axis p replaced by the leading axis of
+    ``mats[p]`` (out_p x in_p): one matmul per party in ``order``,
+    ``mats[p] @ t.reshape(done, in_p, rest)``, or a 2-D product when rest is 1.
+    The axes stay in place, so the result has shape (out_0, ..., out_n-1).
+    Callers put shrinking parties first, so no intermediate outgrows both the
+    input and the output.
+    """
+    dims = [m.shape[1] for m in mats]
+    for p in order:
+        mat, size = mats[p], dims[p]
+        done = math.prod(dims[:p])
+        rest = t.size // (done * size)
+        t = t.reshape(done, size) @ mat.T if rest == 1 else mat @ t.reshape(done, size, rest)
+        dims[p] = mat.shape[0]
+    return t.reshape(dims)
+
+
 def linear_combine(
     terms: Sequence[tuple[RationalLike, BellExpression]],
 ) -> BellExpression:

@@ -38,7 +38,9 @@ from .expressions import (
     SignedSettingMap,
     _combine,
     _exact,
+    _index,
     _refuse_over_cap,
+    _require_exact_size,
     apply_signed_setting_map,
     linear_combine,
     permute_parties,
@@ -82,6 +84,7 @@ def _lift(
     """
     rows, den = weights
     scenario = Scenario((len(rows),) + inputs[0].scenario.settings)
+    _require_exact_size(scenario)
     out = _exact(scenario, *_combine(rows, den, inputs))
     valid, witness = compatibility(*inputs) if compatibility else (None, None)
     inputs_tight = output_tight = None
@@ -148,6 +151,7 @@ def mabk(n: int) -> BellExpression:
     expression together with its copy with settings 0 and 1 swapped on every
     party.  n = 2 gives the CHSH tensor (1/2, 1/2, 1/2, -1/2).
     """
+    n = _index(n)  # the cache keys True apart from 1, so the body reads it
     if n < 1:
         raise ValueError("mabk needs at least one party")
     message = "mabk({exponent}) has 2^{exponent} coefficients"

@@ -9,10 +9,7 @@ Fraction, saturation means value exactly 1, ranks come from
 matrix, then an inverse witness checked by one exact float64 product,
 certifies full rank, and anything else falls back to the fraction-free
 elimination), and the facet enumeration is an integer double description
-whose rays never leave int64.  ``tightness`` forms the saturating Gram
-matrix without the saturating rows: one float64 matmul per party contracts
-the saturating mask against that party's pair table, and every entry is an
-integer no larger than the saturating count.
+whose rays never leave int64.
 
 Strategies are taken in *bit order*: strategy k is the one whose
 concatenated outcome bits (party-major, setting-major; bit 0 encodes
@@ -24,9 +21,11 @@ order.  Vertices are enumerated once each, as their canonical strategies in
 bit order, so vertex lists, maximizers and witnesses are deterministic.
 
 Each party's canonical outcome rows, and its pair table of their products
-r[i] r[j], are built once per scenario and kept read-only.  The values of
-every canonical strategy come from one broadcast integer matrix product per
-party against those rows.
+r[i] r[j], are built once per scenario and kept read-only.  One matmul per
+party (``expressions._contract``) against the rows turns the coefficients
+into every canonical strategy's value, and one against the pair tables turns
+the saturating mask into ``tightness``' Gram matrix, without the saturating
+rows: a float64 matrix of integers no larger than the saturating count.
 
 bellift caches only what its callers ask for again: these per-scenario
 tables, the facet lists of ``enumerate_facets``, the compiled relabellings of
@@ -54,6 +53,7 @@ from .expressions import (
     BellExpression,
     DeterministicStrategy,
     Scenario,
+    _contract,
     _exact,
     _refuse_over_cap,
     _strategy,
@@ -106,49 +106,40 @@ def _gram_plan(scenario: Scenario) -> tuple | None:
     """How ``_saturating_gram`` contracts the scenario, or None past
     ``ENUMERATION_CAP`` table entries (sum over parties of k_p * m_p^2).
 
-    The plan is: the party order, with the parties that shrink the tensor
-    (k_p > m_p^2) first; in that order, each party's read-only float64 pair
-    table Q[k, (i, j)] = r_k[i] r_k[j] over its canonical outcome rows r_k;
-    and the shape and axis order that turn the contracted tensor into G.
+    The plan holds the party order: the parties that shrink the tensor
+    (k_p > m_p^2) first, then the others from the last back, which keeps
+    each matmul's batch small.  It holds each party's read-only float64 pair
+    table Q[(i, j), k] = r_k[i] r_k[j], and the read-only index that takes G,
+    every i before every j, out of the flat contracted tensor.  The index has
+    D^2 <= 2^20 entries: a plan serves at least D saturating vertices whose
+    rank is within ``RANK_WORK_CAP``, so D^3 <= 2^30.
     """
     rows, settings = _canonical_rows(scenario), scenario.settings
     if sum(r.size * r.shape[1] for r in rows) > ENUMERATION_CAP:
         return None
-    order = sorted(range(len(rows)), key=lambda p: len(rows[p]) <= settings[p] ** 2)
-    tables = tuple(
-        (rows[p][:, :, None] * rows[p][:, None, :]).reshape(len(rows[p]), -1).astype(np.float64)
-        for p in order
-    )
-    for table in tables:
+    shrinking = [p for p in range(len(rows)) if len(rows[p]) > settings[p] ** 2]
+    order = shrinking + [p for p in reversed(range(len(rows))) if p not in shrinking]
+    tables = tuple((r.T[:, None] * r.T).reshape(-1, len(r)).astype(np.float64) for r in rows)
+    d, axes = scenario.dimension, 2 * len(settings)
+    index = np.arange(d * d).reshape([m for m in settings for _ in range(2)])
+    index = index.transpose([*range(0, axes, 2), *range(1, axes, 2)]).reshape(d, d)
+    for table in (*tables, index):
         table.setflags(write=False)
-    where = [order.index(p) for p in range(len(rows))]
-    shape = [settings[p] for p in order for _ in range(2)]  # (i, j) per party, in plan order
-    axes = [2 * a for a in where] + [2 * a + 1 for a in where]  # every i, then every j
-    return order, tables, shape, axes
+    return order, tables, index
 
 
-def _saturating_gram(plan: tuple, scenario: Scenario, ids: np.ndarray) -> np.ndarray:
-    """G = A^T A in float64, where A holds the admissible vectors of the
-    canonical strategies with flat ids ``ids``, without building A.
+def _saturating_gram(plan: tuple, mask: np.ndarray) -> np.ndarray:
+    """G = A^T A in float64 for the admissible vectors A of the canonical
+    strategies set in the bool ``mask``, without building A.
 
-    G[(i_p), (j_p)] = sum over k in ids of prod_p r_{k_p}[i_p] r_{k_p}[j_p].
-    The 0/1 mask of ``ids``, laid out with the plan's parties in its order,
-    is contracted one party at a time, one matmul against its pair table
-    each: the leading strategy axis leaves, and its setting-pair axis is
-    appended.  Shrinking parties go first, so no intermediate holds more
-    than max(vertex count, D^2) entries.  Each entry and partial sum is an
-    integer of magnitude at most ``len(ids)``, which float64 holds exactly.
+    G[(i_p), (j_p)] = sum over k in the mask of prod_p r_{k_p}[i_p] r_{k_p}[j_p]:
+    the 0/1 mask contracted with the pair tables in the plan's order, read out
+    by one take through its index.  No intermediate holds more than max(vertex
+    count, D^2) entries, and every entry and partial sum is an integer no
+    larger than the mask's count, which float64 holds exactly.
     """
-    order, tables, shape, axes = plan
-    dims = [len(q) for q in tables]
-    if order != sorted(order):  # the mask's axes follow the plan's order
-        picks = np.unravel_index(ids, [len(r) for r in _canonical_rows(scenario)])
-        ids = np.ravel_multi_index([picks[p] for p in order], dims)
-    t = np.zeros(math.prod(dims))
-    t[ids] = 1.0
-    for table in tables:
-        t = t.reshape(len(table), -1).T @ table
-    return t.reshape(shape).transpose(axes).reshape(scenario.dimension, scenario.dimension)
+    order, tables, index = plan
+    return _contract(mask.astype(np.float64), tables, order).ravel()[index]
 
 
 def _vertices(rows: tuple[np.ndarray, ...], ids: np.ndarray) -> np.ndarray:
@@ -163,28 +154,22 @@ def _vertices(rows: tuple[np.ndarray, ...], ids: np.ndarray) -> np.ndarray:
 
 
 def _vertex_values(expr: BellExpression) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Canonical rows and the integer values denominator * I(v), flat by canonical id."""
+    """Canonical rows and the integer values denominator * I(v), over the grid
+    of the parties' canonical rows, so flat canonical id k is C-order index k."""
     rows = _canonical_rows(expr.scenario)
     # int64 is exact while the largest possible |value| fits; otherwise fall
     # back to Python big ints in an object array.
     dtype = np.int64 if sum(map(abs, expr.numerators)) < _INT64_SAFE else object
-    vals = np.array(expr.numerators, dtype=dtype)
-    done = 1
-    for party in rows:
-        # (done, m_p, rest) -> (done, k_p, rest): the contracted settings give
-        # way to the party's strategies in place, so the axes stay in C order
-        vals = party.astype(dtype, copy=False) @ vals.reshape(done, party.shape[1], -1)
-        done *= party.shape[0]
-    return rows, vals.reshape(-1)
+    mats = rows if dtype is np.int64 else [party.astype(object) for party in rows]
+    return rows, _contract(np.array(expr.numerators, dtype=dtype), mats, range(len(rows)))
 
 
 def lr_max_with_witness(expr: BellExpression) -> tuple[Fraction, DeterministicStrategy]:
     """Exact local-realistic maximum and the first maximizing strategy."""
     rows, vals = _vertex_values(expr)
-    best = int(np.argmax(vals))
-    picks = np.unravel_index(best, [len(r) for r in rows])
+    picks = np.unravel_index(int(np.argmax(vals)), vals.shape)
     witness = _strategy(tuple(tuple(party[i].tolist()) for party, i in zip(rows, picks)))
-    return Fraction(int(vals[best]), expr.denominator), witness
+    return Fraction(int(vals[picks]), expr.denominator), witness
 
 
 def lr_max(expr: BellExpression) -> Fraction:
@@ -235,7 +220,8 @@ def tightness(expr: BellExpression) -> TightnessReport:
     """
     rows, vals = _vertex_values(expr)
     lr = Fraction(int(vals.max()), expr.denominator)
-    saturating = np.flatnonzero(vals == expr.denominator)  # value exactly 1
+    mask = vals == expr.denominator  # value exactly 1
+    saturating = np.flatnonzero(mask)
     count, cols = len(saturating), expr.scenario.dimension
     message = "{count} saturating vertices x {cols} coordinates need {size} {unit}"
     for size, cap, unit in (
@@ -246,7 +232,7 @@ def tightness(expr: BellExpression) -> TightnessReport:
     plan = _gram_plan(expr.scenario) if count >= cols else None
     if plan is None:
         rank = rational_linalg.integer_rank(_vertices(rows, saturating))
-    elif rational_linalg._nonsingular(_saturating_gram(plan, expr.scenario, saturating)):
+    elif rational_linalg._nonsingular(_saturating_gram(plan, mask)):
         rank = cols
     else:  # the certificate had its one try on G: Bareiss on the saturating rows decides
         rank = rational_linalg._eliminate(_vertices(rows, saturating).tolist())

@@ -25,7 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .expressions import ENUMERATION_CAP, BellExpression, Scenario, _index, _refuse_over_cap
+from .expressions import (
+    ENUMERATION_CAP,
+    BellExpression,
+    Scenario,
+    _contract,
+    _index,
+    _refuse_over_cap,
+)
 from .lifting import mabk
 from .polytope import lr_max
 
@@ -223,16 +230,16 @@ class MeasurementSettings:
 def bell_operator(expr: BellExpression, settings: MeasurementSettings) -> np.ndarray:
     """The Hermitian operator of the expression at the given directions.
 
-    The coefficients contract with each party's (m_p, 2, 2) observables in
-    ``_contract_parties``, the contraction that also gives T and alpha-tilde;
-    it returns the row axes before the column axes, so one reshape gives B.
+    B = sum over Pauli indices x of alpha-tilde[x] sigma_x0 (x) ... (x) sigma_xn-1:
+    ``_contract`` expands alpha-tilde on each party's Paulis, a (4, 3)
+    matrix, and one transpose puts every row bit before every column bit.
     """
-    _refuse_over_cap(4, ENUMERATION_CAP, _QUBIT_MATRIX, exponent=expr.scenario.parties)
-    if not settings.matches(expr.scenario):
-        raise ValueError(f"settings shape does not match scenario {expr.scenario}")
-    observables = [np.tensordot(vecs, PAULIS, 1) for vecs in settings.vectors]
-    op = _contract_parties(_coefficient_tensor(expr), observables)
-    return op.reshape((2**expr.scenario.parties,) * 2)
+    n = expr.scenario.parties
+    _refuse_over_cap(4, ENUMERATION_CAP, _QUBIT_MATRIX, exponent=n)
+    paulis = [PAULIS.reshape(3, 4).T] * n
+    op = _contract(contract_coefficients(expr, settings), paulis, range(n))
+    rows_first = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return op.reshape((2,) * (2 * n)).transpose(rows_first).reshape((2**n,) * 2)
 
 
 def expectation(
@@ -312,7 +319,7 @@ def correlation_tensor(state: QuantumState) -> CorrelationTensor:
     bits = [a for p in range(n) for a in (p, n + p)]
     rho = state.rho.reshape((2,) * (2 * n)).transpose(bits).reshape((4,) * n)
     # Tr(rho X) contracts rho[a, b] with X[b, a]
-    values = _contract_parties(rho, [PAULIS.transpose(2, 1, 0).reshape(4, 3)] * n)
+    values = _contract(rho, [PAULIS.transpose(0, 2, 1).reshape(3, 4)] * n, range(n))
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("correlation tensor came out complex; state invalid?")
     return CorrelationTensor(n, values.real)
@@ -349,22 +356,9 @@ def contract_coefficients(expr: BellExpression, settings: MeasurementSettings) -
         raise ValueError(f"settings shape does not match scenario {expr.scenario}")
     message = "alpha-tilde of {exponent} parties has 3^{exponent} entries"
     _refuse_over_cap(3, ENUMERATION_CAP, message, exponent=expr.scenario.parties)
-    return _contract_parties(_coefficient_tensor(expr), settings.vectors)
-
-
-def _contract_parties(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract axis p of ``tensor`` with the first axis of ``mats[p]`` for every p.
-
-    One ``tensordot`` per party, those that shrink the tensor most first, so no
-    intermediate outgrows both the input and the result.  The result holds each
-    party's second matrix axis in party order, then each party's third.
-    """
-    order = sorted(range(len(mats)), key=lambda p: mats[p][0].size / len(mats[p]))
-    out = tensor.transpose(order)
-    for p in order:
-        out = np.tensordot(out, mats[p], (0, 0))
-    width = mats[0].ndim - 1 if mats else 0  # matrix axes left per party
-    return out.transpose([width * i + k for k in range(width) for i in np.argsort(order)])
+    mats = [vecs.T for vecs in settings.vectors]  # (3, m_p): the widest shrink most
+    order = sorted(range(len(mats)), key=lambda p: -mats[p].shape[1])
+    return _contract(_coefficient_tensor(expr), mats, order)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +569,7 @@ def mabk_optimal_settings(n: int) -> MeasurementSettings:
     optimal global phase is carried by party 0.  At these settings the Bell
     operator reaches the quantum maximum (sqrt 2)^(n-1).
     """
+    n = _index(n)
     if n < 1:
         raise ValueError("mabk needs at least one party")
     g = 1 + 0j
@@ -585,14 +580,7 @@ def mabk_optimal_settings(n: int) -> MeasurementSettings:
     vectors = []
     for p in range(n):
         phi = phase if p == 0 else 0.0
-        vectors.append(
-            np.array(
-                [
-                    [math.cos(phi), math.sin(phi), 0.0],
-                    [math.cos(phi - math.pi / 2), math.sin(phi - math.pi / 2), 0.0],
-                ]
-            )
-        )
+        vectors.append([[math.cos(a), math.sin(a), 0.0] for a in (phi, phi - math.pi / 2)])
     return MeasurementSettings(tuple(vectors))
 
 

@@ -4,6 +4,7 @@ import copy
 import inspect
 import math
 import pickle
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -29,9 +30,15 @@ from bellift import (
     expressions,
     four_party_19,
     lift2,
+    lift3,
+    lifting,
     linear_combine,
+    mabk,
+    mabk_optimal_settings,
     make_state,
     permute_parties,
+    polytope,
+    quantum,
     symmetry_images,
     wbz333,
 )
@@ -86,6 +93,40 @@ def test_every_cap_refusal_goes_through_one_gate():
     assert raises == 1
 
 
+def test_lifts_are_capped_before_combining(monkeypatch):
+    """A lift of two or three 2^16-coefficient inputs is refused before one
+    numerator of its 2^17 or 3 x 2^16 is formed."""
+    wide = mabk(16)
+
+    def unreachable(*args):
+        raise AssertionError("the numerators were formed")
+
+    monkeypatch.setattr(lifting, "_combine", unreachable)
+    tracemalloc.start()
+    try:
+        for lift in (lambda: lift2(wide, wide), lambda: lift3(wide, wide, wide)):
+            with pytest.raises(EnumerationCapExceeded, match="exact coefficients"):
+                lift()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_every_per_party_contraction_goes_through_one_kernel():
+    src = Path(__file__).resolve().parents[1] / "src" / "bellift"
+    assert not any("tensordot" in p.read_text() for p in src.glob("*.py"))
+    callers = (
+        polytope._vertex_values,
+        polytope._saturating_gram,
+        quantum.correlation_tensor,
+        quantum.contract_coefficients,
+        quantum.bell_operator,
+    )
+    for caller in callers:
+        assert re.search(r"\b_contract\(", inspect.getsource(caller)), caller.__name__
+
+
 def test_every_integer_field_goes_through_one_rule():
     src = Path(__file__).resolve().parents[1] / "src" / "bellift"
     uses = sum(p.read_text().count("operator.index") for p in src.glob("*.py"))
@@ -123,11 +164,16 @@ def test_strategy_validation():
         lambda: make_state("ghz", True),
         lambda: QuantumState(2.0, np.eye(4) / 4),
         lambda: BellExpression.from_terms(TWO, [((True, 0), 1)]),
+        lambda: mabk(True),
+        lambda: mabk(2.0),
+        lambda: mabk_optimal_settings(True),
+        lambda: mabk_optimal_settings(2.0),
     ],
     ids=[
         "scenario-float", "scenario-string", "strategy-float", "map-float", "order-float",
         "order-bool", "scenario-bool", "strategy-bool", "map-bool", "seesaw-bool",
-        "qubits-bool", "state-float", "index-bool",
+        "qubits-bool", "state-float", "index-bool", "mabk-bool", "mabk-float",
+        "mabk-settings-bool", "mabk-settings-float",
     ],
 )
 def test_integer_fields_refuse_non_integers(build):

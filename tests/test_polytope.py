@@ -193,9 +193,9 @@ def test_tightness_sizes_the_saturating_rows_before_building_them(monkeypatch):
         built.append(("rows", len(ids)))
         return np.zeros((len(ids), 1), dtype=np.int64)
 
-    def record_gram(plan, scenario, ids):
-        built.append(("gram", len(ids)))
-        return gram(plan, scenario, ids)
+    def record_gram(plan, mask):
+        built.append(("gram", int(mask.sum())))
+        return gram(plan, mask)
 
     monkeypatch.setattr(polytope, "_vertices", record_rows)
     monkeypatch.setattr(polytope, "_saturating_gram", record_gram)
@@ -223,28 +223,14 @@ def test_pair_tables_past_the_cap_leave_the_rank_to_the_rows(monkeypatch):
     assert (rep.saturating_count, rep.rank, rep.is_tight) == (2**16, 17, True)
 
 
-def _spied(plan):
-    """``plan`` whose pair tables append, at each matmul, the sizes of its
-    left operand and of its result to the returned list."""
-    sizes = []
-
-    class Spy(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            out = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
-            sizes.extend([inputs[0].size, out.size])
-            return out
-
-    order, tables, *rest = plan
-    return (order, tuple(t.view(Spy) for t in tables), *rest), sizes
-
-
-def test_contracted_gram_equals_the_explicit_product():
+def test_contracted_gram_equals_the_explicit_product(product_sizes):
     """The Gram matrix contracted party by party is A^T A of the explicit
     rows A, exactly, and no intermediate holds more than max(vertex count,
-    D^2) entries.  Each expression gives two vertex sets: its maximizers
-    (the saturating set of every facet and built-in) and its vertices of
-    value >= 0, which are not tight.  At (2, 5) the last party shrinks the
-    tensor (32 strategies > 5^2 setting pairs), so the order matters."""
+    D^2) entries, nor one of the strategy values more than max(vertex count,
+    D).  Each expression gives two vertex sets: its maximizers (the
+    saturating set of every facet and built-in) and its vertices of value
+    >= 0, which are not tight.  At (2, 5) the last party shrinks the tensor
+    (32 strategies > 5^2 setting pairs), so the order matters."""
     exprs = [f for s in ((2, 2), (2, 3), (2, 2, 2), (3, 3)) for f in enumerate_facets(Scenario(s))]
     exprs += [wbz333(), four_party_19(), *(mabk(n) for n in range(2, 10))]
     rng = np.random.default_rng(29)
@@ -255,14 +241,17 @@ def test_contracted_gram_equals_the_explicit_product():
             exprs.append(BellExpression(scenario, [int(x) for x in c]))
     sets = 0
     for e in exprs:
+        product_sizes.clear()
         rows, vals = polytope._vertex_values(e)
         vertices, d = vals.size, e.scenario.dimension
-        for ids in (np.flatnonzero(vals == e.denominator), np.flatnonzero(vals >= 0)):
-            a = polytope._vertices(rows, ids)
-            plan, sizes = _spied(polytope._gram_plan(e.scenario))
-            gram = polytope._saturating_gram(plan, e.scenario, ids)
+        assert len(product_sizes) == e.scenario.parties
+        assert max(product_sizes) <= max(vertices, d)
+        for mask in (vals == e.denominator, vals >= 0):
+            a = polytope._vertices(rows, np.flatnonzero(mask))
+            product_sizes.clear()
+            gram = polytope._saturating_gram(polytope._gram_plan(e.scenario), mask)
             assert gram.tolist() == (a.T @ a).tolist()
-            assert max(sizes) <= max(vertices, d * d)
+            assert max(product_sizes) <= max(vertices, d * d)
             sets += 1
     assert sets == 2 * (16 + 36 + 256 + 90 + 2 + 8 + 50)
 

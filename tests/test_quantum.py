@@ -390,46 +390,32 @@ def test_contract_coefficients_matches_the_einsum_oracle(settings):
     assert np.abs(alpha - _contract_coefficients_oracle(expr, dirs)).max() <= 1e-12
 
 
-def _record_tensordot_sizes(monkeypatch):
-    """The size of every ``np.tensordot`` result from now on, in call order."""
-    sizes, tensordot = [], np.tensordot
-
-    def recording(*args, **kwargs):
-        out = tensordot(*args, **kwargs)
-        sizes.append(out.size)
-        return out
-
-    monkeypatch.setattr(np, "tensordot", recording)
-    return sizes
-
-
-def test_bell_operator_intermediates_stay_within_its_inputs_and_output(monkeypatch):
-    # parties with one setting first would grow 16 coefficients to 16 * 4^3 entries
-    sizes = _record_tensordot_sizes(monkeypatch)
+def test_bell_operator_intermediates_stay_within_its_inputs_and_output(product_sizes):
+    # parties with one setting first would grow 16 coefficients to 16 * 3^3 entries;
+    # four products give alpha-tilde, and four more expand it on the Paulis
     expr = BellExpression(Scenario((1, 1, 1, 16)), range(16))
     dirs = MeasurementSettings(tuple(np.tile([0.0, 0.0, 1.0], (m, 1)) for m in (1, 1, 1, 16)))
     op = bell_operator(expr, dirs)
-    assert op.shape == (16, 16) and max(sizes) == op.size
+    assert op.shape == (16, 16) and len(product_sizes) == 8 and max(product_sizes) == op.size
 
 
 @pytest.mark.parametrize("settings", [(1, 1, 1, 16), (16, 1, 1, 1)])
 def test_contract_coefficients_intermediates_stay_within_its_inputs_and_output(
-    monkeypatch, settings
+    product_sizes, settings
 ):
     # in party order (1, 1, 1, 16) would grow 16 coefficients to 16 * 3^3 entries
     expr = BellExpression(Scenario(settings), range(16))
     dirs = MeasurementSettings(tuple(np.tile([0.0, 0.0, 1.0], (m, 1)) for m in settings))
-    sizes = _record_tensordot_sizes(monkeypatch)
     alpha = contract_coefficients(expr, dirs)
-    assert alpha.shape == (3,) * 4 and len(sizes) == 4 and max(sizes) == alpha.size
+    assert alpha.shape == (3,) * 4 and len(product_sizes) == 4 and max(product_sizes) == alpha.size
     assert alpha[2, 2, 2, 2] == sum(range(16))
 
 
 def test_contract_coefficients_refuses_3_to_the_n_before_contracting(monkeypatch):
-    def unreachable(tensor, mats):
+    def unreachable(t, mats, order):
         raise AssertionError("the contraction ran")
 
-    monkeypatch.setattr(quantum, "_contract_parties", unreachable)
+    monkeypatch.setattr(quantum, "_contract", unreachable)
     # one coefficient, but alpha-tilde would have 3^16 > 2^24 entries
     expr = BellExpression(Scenario((1,) * 16), [1])
     dirs = MeasurementSettings(([[0.0, 0.0, 1.0]],) * 16)
@@ -437,11 +423,9 @@ def test_contract_coefficients_refuses_3_to_the_n_before_contracting(monkeypatch
         contract_coefficients(expr, dirs)
 
 
-def test_correlation_tensor_intermediates_shrink(monkeypatch):
-    state = make_state("ghz", 6)
-    sizes = _record_tensordot_sizes(monkeypatch)
-    tensor = correlation_tensor(state).values
-    assert sizes == [4 ** (6 - k) * 3**k for k in range(1, 7)]  # each party 4 -> 3
+def test_correlation_tensor_intermediates_shrink(product_sizes):
+    tensor = correlation_tensor(make_state("ghz", 6)).values
+    assert product_sizes == [4 ** (6 - k) * 3**k for k in range(1, 7)]  # each party 4 -> 3
     assert abs(tensor[(2,) * 6] - 1.0) < 1e-12
 
 
