@@ -19,9 +19,10 @@ strings (``"1/2"``, ``"-3"``), never as floats:
 and terms sorted, so serialize-then-parse is the identity and
 parse-then-serialize canonicalizes.
 
-This module checks the JSON structure only: the object and list shapes, and
-the arity, bounds and uniqueness of each setting tuple.  Every number is read
-by the input rules of ``expressions``, and each refusal names its term.
+This module checks only the JSON structure (the object and list shapes),
+refuses a setting tuple listed twice, and labels each refusal with its term.
+``Scenario.flat_index`` reads each setting tuple, and the input rules of
+``expressions`` read every number.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Any
 
-import numpy as np
-
 from .expressions import BellExpression, EnumerationCapExceeded, Scenario, _as_fraction
-from .expressions import _index, _over_one_denominator, _require_exact_size, _sparse
+from .expressions import _over_one_denominator, _require_exact_size, _sparse
 
 __all__ = ["DocumentError", "parse_expression", "serialize_expression"]
 
@@ -48,7 +47,8 @@ def parse_expression(document: str | Mapping[str, Any]) -> BellExpression:
     """Build a BellExpression from a document (JSON text or decoded mapping).
 
     Coefficients not listed are zero.  A DocumentError names the offending
-    term of an out-of-bounds or duplicate tuple, or of a malformed number.
+    term of a tuple that ``Scenario.flat_index`` refuses, of a duplicate
+    tuple, or of a malformed number.
     """
     if isinstance(document, str):
         try:
@@ -67,36 +67,28 @@ def parse_expression(document: str | Mapping[str, Any]) -> BellExpression:
     try:  # the library reads every number; its refusals are labelled here
         scenario = Scenario(settings)
         _require_exact_size(scenario)  # before any coefficient is read
-        seen: dict[tuple[int, ...], int] = {}
+        seen: dict[int, int] = {}  # flat place -> first term; insertion order is term order
         coefficients: list[Fraction] = []
         for i, term in enumerate(terms_raw):
             label = f"term {i}"
             if not isinstance(term, Mapping):
                 raise DocumentError("expected an object with 's' and 'c'")
-            s_raw = term.get("s")
-            if not isinstance(s_raw, list) or len(s_raw) != scenario.parties:
+            s = term.get("s")
+            if not isinstance(s, list):
+                raise DocumentError(f"'s' must be a list of setting indices, got {s!r}")
+            place = scenario.flat_index(s)
+            if place in seen:
                 raise DocumentError(
-                    f"'s' must be a list of {scenario.parties} integers, got {s_raw!r}"
+                    f"duplicate setting tuple {s} (first seen at term {seen[place]})"
                 )
-            s = tuple(map(_index, s_raw))
-            if any(not 0 <= x < m for x, m in zip(s, scenario.settings)):
-                raise DocumentError(
-                    f"setting tuple {list(s)} out of bounds for settings {list(scenario.settings)}"
-                )
-            if s in seen:
-                raise DocumentError(
-                    f"duplicate setting tuple {list(s)} (first seen at term {seen[s]})"
-                )
-            seen[s] = i
+            seen[place] = i
             coefficients.append(_as_fraction(term.get("c")))
     except (TypeError, ValueError) as exc:  # a DocumentError too: each gets its label
         raise DocumentError(f"{label}: {exc}") from None
     except EnumerationCapExceeded as exc:
         exc.args = (f"{label}: {exc}",)
         raise
-    tuples = np.array(list(seen), dtype=np.intp).reshape(-1, scenario.parties)
-    places = np.ravel_multi_index(tuples.T, scenario.settings).tolist()
-    return _sparse(scenario, places, *_over_one_denominator(coefficients))
+    return _sparse(scenario, seen, *_over_one_denominator(coefficients))
 
 
 def serialize_expression(

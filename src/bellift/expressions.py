@@ -9,7 +9,8 @@ Data conventions used throughout the package:
   tuples and ``E[idx]`` is the full n-party correlator.
 * Every input rule is defined here once.  An integer field (a setting count
   or index, outcome, sign, party order or qubit count) is read by ``_index``,
-  which refuses a bool, a float and a string.  A coefficient is read by
+  which refuses a bool, a float and a string; a setting tuple, its arity and
+  range too, by ``Scenario.flat_index`` alone.  A coefficient is read by
   ``_as_fraction``: an int, a Fraction or rational text ("1/2", "1e-3"), but
   never a float or a bool, so that saturation and bound checks can use exact
   equality; a decimal exponent past Python's int digit limit is refused.
@@ -149,7 +150,7 @@ class Scenario:
     def parties(self) -> int:
         return len(self.settings)
 
-    @property
+    @functools.cached_property
     def dimension(self) -> int:
         """Number of joint setting tuples, i.e. the correlation-space dimension."""
         return math.prod(self.settings)
@@ -209,7 +210,10 @@ class BellExpression:
 
     def __init__(self, scenario: Scenario, coeffs: Iterable[RationalLike]) -> None:
         _require_exact_size(scenario)  # before the coefficients are consumed
-        vars(self).update(vars(_exact(scenario, *_integers(coeffs))))
+        nums, den = _integers(coeffs)
+        if len(nums) != (d := scenario.dimension):
+            raise ValueError(f"expected {d} coefficients for scenario {scenario}, got {len(nums)}")
+        vars(self).update(vars(_exact(scenario, nums, den)))
 
     # -- constructors ------------------------------------------------------
 
@@ -280,13 +284,8 @@ class BellExpression:
 
 def _exact(scenario: Scenario, numerators: Sequence[int], denominator: int) -> BellExpression:
     """Every expression's constructor: Python-int ``numerators`` in C order over
-    a positive ``denominator``, both divided by their gcd."""
-    _require_exact_size(scenario)
-    if len(numerators) != scenario.dimension:
-        raise ValueError(
-            f"expected {scenario.dimension} coefficients for scenario "
-            f"{scenario}, got {len(numerators)}"
-        )
+    a positive ``denominator``, both divided by their gcd.  The caller has
+    sized the scenario and supplies one numerator per joint setting."""
     g = math.gcd(denominator, *numerators)
     expr = object.__new__(BellExpression)
     object.__setattr__(expr, "scenario", scenario)

@@ -101,7 +101,7 @@ def _canonical_rows(scenario: Scenario) -> tuple[np.ndarray, ...]:
     return rows
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def _gram_plan(scenario: Scenario) -> tuple | None:
     """How ``_saturating_gram`` contracts the scenario, or None past
     ``ENUMERATION_CAP`` table entries (sum over parties of k_p * m_p^2).
@@ -112,7 +112,10 @@ def _gram_plan(scenario: Scenario) -> tuple | None:
     table Q[(i, j), k] = r_k[i] r_k[j], and the read-only index that takes G,
     every i before every j, out of the flat contracted tensor.  The index has
     D^2 <= 2^20 entries: a plan serves at least D saturating vertices whose
-    rank is within ``RANK_WORK_CAP``, so D^3 <= 2^30.
+    rank is within ``RANK_WORK_CAP``, so D^3 <= 2^30.  With 2^24 float64 table
+    entries a plan holds at most 136 MiB, the four cached at most 544 MiB
+    ((16, 4)'s tables take 64 MiB, mabk(10)'s index 8 MiB).  Four cover a
+    lift's inputs and output, or the facet-oracle benchmark's three scenarios.
     """
     rows, settings = _canonical_rows(scenario), scenario.settings
     if sum(r.size * r.shape[1] for r in rows) > ENUMERATION_CAP:
@@ -331,6 +334,16 @@ def _insert_row(
     return np.concatenate([rays[kept], new]), np.concatenate([kept_masks, new_masks])
 
 
+def _double_description(rows: np.ndarray) -> np.ndarray:
+    """The extreme rays of the pointed cone {y : rows @ y <= 0}, for int64
+    ``rows`` that span their columns, at most ``_MASK_BITS`` of them."""
+    basis, rays, masks = _initial_cone(rows)
+    for i in range(rows.shape[0]):
+        if i not in basis:
+            rays, masks = _insert_row(rays, masks, rows[i], i)
+    return rays
+
+
 @lru_cache(maxsize=16)
 def enumerate_facets(scenario: Scenario) -> tuple[BellExpression, ...]:
     """All facets of the correlation polytope, normalized to right-hand side 1.
@@ -338,8 +351,8 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellExpression, ...]:
     Exact integer double description (Motzkin et al. 1953; Fukuda & Prodon
     1996) of the polar cone {(a, t) : v . a <= t for every distinct vertex
     v}: one elimination pass over the vertex rows builds the simplicial cone
-    of the first D + 1 independent ones (``_initial_cone``), then the cone
-    is intersected with the remaining rows in ``distinct_vertices`` order.
+    of the first D + 1 independent ones, then the cone is intersected with
+    the remaining rows in ``distinct_vertices`` order (``_double_description``).
     Rays are gcd-normalized int64 vectors, each with its zero set as one
     uint64 bitmask over the vertex rows, and adjacency is tested
     combinatorially.  Every extreme ray has t > 0 (the vertex set is
@@ -354,11 +367,7 @@ def enumerate_facets(scenario: Scenario) -> tuple[BellExpression, ...]:
     message = "facet enumeration: scenario {s} has {size} distinct vertices"
     _refuse_over_cap(math.prod(_canonical_counts(scenario)), _MASK_BITS, message, s=scenario)
     verts = distinct_vertices(scenario)
-    rows = np.hstack([verts, -np.ones((verts.shape[0], 1), dtype=np.int64)])
-    basis, rays, masks = _initial_cone(rows)
-    for i in range(rows.shape[0]):
-        if i not in basis:
-            rays, masks = _insert_row(rays, masks, rows[i], i)
+    rays = _double_description(np.hstack([verts, -np.ones((len(verts), 1), dtype=np.int64)]))
     # sort exactly: a / t scaled by the common lcm of the t is an integer tuple
     a, t = rays[:, :-1].tolist(), rays[:, -1].tolist()
     lcm = math.lcm(*t)

@@ -102,14 +102,9 @@ def _nonsingular(g: np.ndarray | None) -> bool:
     return bool(r.sum(axis=1).max(initial=0) < scale)
 
 
-def _full_rank_witness(a: np.ndarray) -> bool:
-    """Whether an exact certificate proves that ``a`` has full rank min(rows, cols)."""
-    return _nonsingular(_gram(a))
-
-
 def integer_rank(a: np.ndarray) -> int:
     """Exact rank over Q of a 2-D array of integers that fit int64."""
     a = a.astype(np.int64, copy=False)
-    if _full_rank_witness(a):
+    if _nonsingular(_gram(a)):  # a certificate of full rank min(rows, cols)
         return min(a.shape)
     return _eliminate(a.tolist())

@@ -341,7 +341,7 @@ def test_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"settings": [2, 2], "terms": [{"s": [0, 9], "c": "1"}]}')
     code, _, err = run(capsys, "lr-bound", str(bad))
-    assert code == 1 and "out of bounds" in err
+    assert code == 1 and "term 0" in err and "out of range" in err
 
     code, _, err = run(capsys, "facets", "3", "3", "3")  # 128 vertices > 64
     assert code == 2 and "cap" in err

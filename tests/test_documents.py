@@ -116,7 +116,7 @@ def test_integer_coefficients_are_accepted():
 @pytest.mark.parametrize(
     "doc, fragment",
     [
-        ({"settings": [2, 2], "terms": [{"s": [0, 5], "c": "1"}]}, "out of bounds"),
+        ({"settings": [2, 2], "terms": [{"s": [0, 5], "c": "1"}]}, "out of range"),
         (
             {
                 "settings": [2, 2],
@@ -127,7 +127,7 @@ def test_integer_coefficients_are_accepted():
         ({"settings": [2, 2], "terms": [{"s": [0, 0], "c": "1/0"}]}, "malformed"),
         ({"settings": [2, 2], "terms": [{"s": [0, 0], "c": "one half"}]}, "malformed"),
         ({"settings": [2, 2], "terms": [{"s": [0, 0], "c": 0.5}]}, "float"),
-        ({"settings": [2, 2], "terms": [{"s": [0], "c": "1"}]}, "2 integers"),
+        ({"settings": [2, 2], "terms": [{"s": [0], "c": "1"}]}, "wrong arity"),
         ({"settings": [], "terms": []}, "settings"),
         ({"settings": [2, 0], "terms": []}, "positive integer"),
         ({"settings": [2], "terms": [{"c": "1"}]}, "'s'"),
@@ -139,6 +139,22 @@ def test_integer_coefficients_are_accepted():
 def test_distinct_error_messages(doc, fragment):
     with pytest.raises(DocumentError, match=fragment):
         parse_expression(doc)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [[0], [0, 0, 0], [0, 2], [-1, 0], [True, 0], [0, 1.0], ["0", 0]],
+    ids=["short", "long", "out-of-range", "negative", "bool", "float", "string"],
+)
+def test_one_tuple_rule_for_terms_and_documents(s):
+    """``from_terms`` and a document refuse a tuple with the same
+    ``Scenario.flat_index`` text; the document's names the term."""
+    with pytest.raises((TypeError, ValueError)) as library:
+        BellExpression.from_terms(Scenario((2, 2)), [(s, 1)])
+    doc = {"settings": [2, 2], "terms": [{"s": [1, 1], "c": "1"}, {"s": s, "c": "1"}]}
+    with pytest.raises(DocumentError) as document:
+        parse_expression(doc)
+    assert str(document.value) == f"term 1: {library.value}"
 
 
 def test_error_message_names_the_term():

@@ -21,6 +21,10 @@ from bellift.polytope import distinct_vertices, enumerate_facets, tightness
 from bellift.rational_linalg import _eliminate, integer_rank
 
 
+def _full_rank_witness(a: np.ndarray) -> bool:
+    return rational_linalg._nonsingular(rational_linalg._gram(a))
+
+
 def test_rank_simple_cases():
     assert integer_rank(np.zeros((0, 0), dtype=np.int64)) == 0
     assert integer_rank(np.array([[0, 0], [0, 0]])) == 0
@@ -76,7 +80,7 @@ def test_full_rank_over_q_but_not_mod_p_falls_back():
     m[3, 3] = 2**31 - 1  # a p-entry: 17 * p^2 is past float64's exact range
     tall = np.vstack([m, np.zeros((1, 17), dtype=np.int64)])  # Gram entry (3, 3) is p^2
     for a, rank in ((unimodular, 40), (m, 17), (tall, 17)):
-        assert not rational_linalg._full_rank_witness(a)
+        assert not _full_rank_witness(a)
         assert integer_rank(a) == rank
 
 
@@ -157,7 +161,7 @@ def test_the_witness_declines_products_past_2_53(n, peak, monkeypatch):
     assert norm * (norm * 2**10) * np.abs(np.linalg.inv(g)).max() >= 2**53
     inverted = []
     monkeypatch.setattr(np.linalg, "inv", _recorded(inverted, np.linalg.inv))
-    assert not rational_linalg._full_rank_witness(a)
+    assert not _full_rank_witness(a)
     assert inverted == [n]  # reached the witness: dominance failed
     assert integer_rank(a) == _bareiss_rank(a) == n
 
@@ -179,16 +183,16 @@ def test_narrow_matrices_stay_on_bareiss(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", _recorded(inverted, np.linalg.inv))
     monkeypatch.setattr(rational_linalg, "_eliminate", _recorded(eliminated, _eliminate))
     eye = np.eye(16, dtype=np.int64)
-    assert rational_linalg._full_rank_witness(eye)
+    assert _full_rank_witness(eye)
     assert integer_rank(eye) == 16
     assert inverted == [] and eliminated == []
     signs = np.ones((4, 4), dtype=np.int64)
     signs[1, 3] = signs[2, 2] = signs[3, 1] = -1
     for a in (signs, _upper(16)):
-        assert rational_linalg._full_rank_witness(a)
+        assert _full_rank_witness(a)
         assert integer_rank(a) == len(a)
     assert inverted == [4, 4, 16, 16] and eliminated == []
-    assert not rational_linalg._full_rank_witness(_upper(16, 2))
+    assert not _full_rank_witness(_upper(16, 2))
     assert integer_rank(_upper(16, 2)) == 16
     assert eliminated == [16]
 
@@ -197,11 +201,11 @@ def test_dominance_is_strict():
     """[[1, 1], [1, 1]] has G = [[2, 2], [2, 2]]: each row meets the bound
     with equality, and G is singular.  So is a duplicated column at 17."""
     ones = np.ones((2, 2), dtype=np.int64)
-    assert not rational_linalg._full_rank_witness(ones)
+    assert not _full_rank_witness(ones)
     assert integer_rank(ones) == 1
     dup = np.eye(17, dtype=np.int64)
     dup[:, 16] = dup[:, 0]  # G rows 0 and 16: 2 * 1 = 1 + 1
-    assert not rational_linalg._full_rank_witness(dup)
+    assert not _full_rank_witness(dup)
     assert integer_rank(dup) == _bareiss_rank(dup) == 16
 
 
@@ -288,11 +292,7 @@ def _symmetric_section_facets() -> list[BellExpression]:
     coords = [sum(verts[:, mu[p], mu[q], mu[r]] for p, q, r in perms) for mu in multisets]
     points = np.unique(np.stack(coords, axis=1), axis=0)
     assert points.shape == (40, 10)
-    rows = np.hstack([points, -np.ones((40, 1), dtype=np.int64)])
-    basis, rays, masks = polytope._initial_cone(rows)
-    for i in range(len(rows)):
-        if i not in basis:
-            rays, masks = polytope._insert_row(rays, masks, rows[i], i)
+    rays = polytope._double_description(np.hstack([points, -np.ones((40, 1), dtype=np.int64)]))
     assert len(rays) == 1874
     orbit = {mu: len(set(itertools.permutations(mu))) for mu in multisets}
     exprs = []
@@ -366,7 +366,7 @@ def test_the_witness_never_certifies_a_deficient_rank(
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not rational_linalg._full_rank_witness(a)
+        assert not _full_rank_witness(a)
         # nor with a modest, finite proposal: the integer check alone refuses it
         with mock.patch.object(np.linalg, "inv", np.linalg.pinv):
-            assert not rational_linalg._full_rank_witness(a)
+            assert not _full_rank_witness(a)
