@@ -5,11 +5,9 @@ all deterministic strategies.  Everything here is exact and stays in
 ``int``/``Fraction`` arithmetic: strategy values are integers over the
 expression's one denominator, the local-realistic maximum is returned as a
 Fraction, saturation means value exactly 1, ranks come from
-``rational_linalg`` (at every width, strict diagonal dominance of the Gram
-matrix, then an inverse witness checked by one exact float64 product,
-certifies full rank, and anything else falls back to the fraction-free
-elimination), and the facet enumeration is an integer double description
-whose rays never leave int64.
+``rational_linalg`` in two steps (one certificate of the saturating Gram
+matrix, then Bareiss on the saturating rows if it fails), and the facet
+enumeration is an integer double description whose rays never leave int64.
 
 Strategies are taken in *bit order*: strategy k is the one whose
 concatenated outcome bits (party-major, setting-major; bit 0 encodes
@@ -216,10 +214,12 @@ def tightness(expr: BellExpression) -> TightnessReport:
 
     Saturating rows of more than ``ENUMERATION_CAP`` entries, or whose rank
     takes more than ``RANK_WORK_CAP`` elimination steps, are refused unbuilt.
-    With at least D saturating vertices, their Gram matrix G = A^T A is
-    contracted from the pair tables and certified; the +-1 rows A are built
-    only when the certificate fails, and then Bareiss decides at once.  With
-    fewer, or past the pair tables' cap, ``integer_rank`` takes the rows.
+    The rank takes two steps.  The Gram matrix G of the +-1 saturating rows'
+    short side gets one certificate of full rank, and if it fails, Bareiss
+    on the rows decides.  With at least D saturating vertices, G = A^T A is
+    contracted from the pair tables, and the rows A are built only for
+    Bareiss.  With fewer (G = A A^T), or past the pair tables' cap, G is
+    formed from the rows in float64, which holds it exactly.
     """
     rows, vals = _vertex_values(expr)
     lr = Fraction(int(vals.max()), expr.denominator)
@@ -234,11 +234,15 @@ def tightness(expr: BellExpression) -> TightnessReport:
         _refuse_over_cap(size, cap, message, count=count, cols=cols, unit=unit)
     plan = _gram_plan(expr.scenario) if count >= cols else None
     if plan is None:
-        rank = rational_linalg.integer_rank(_vertices(rows, saturating))
-    elif rational_linalg._nonsingular(_saturating_gram(plan, mask)):
-        rank = cols
+        a = _vertices(rows, saturating)
+        f = a.astype(np.float64)  # +-1 entries: every partial sum is at most the count
+        gram = f @ f.T if count < cols else f.T @ f
+    else:
+        a, gram = None, _saturating_gram(plan, mask)
+    if rational_linalg.certified_nonsingular(gram):
+        rank = min(count, cols)
     else:  # the certificate had its one try on G: Bareiss on the saturating rows decides
-        rank = rational_linalg._eliminate(_vertices(rows, saturating).tolist())
+        rank = rational_linalg.bareiss_rank(_vertices(rows, saturating) if a is None else a)
     valid = lr <= 1
     return TightnessReport(lr, count, rank, valid, is_tight=valid and rank == cols)
 

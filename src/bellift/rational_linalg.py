@@ -1,28 +1,23 @@
-"""Exact linear algebra over the rationals (fraction-free, deterministic).
+"""Exact rank decisions over the rationals (fraction-free, deterministic).
 
-This module decides ranks, and nothing else.  One Bareiss fraction-free
-elimination is the only exact path: it decides every rank that is not
-certified more cheaply, and integer matrices never leave integer arithmetic.
-Pivots are the first nonzero entry in column order, so the computation is
-deterministic for a given row order.
+A rank is decided in two steps.  First the caller's Gram matrix G of the
+rows' short side (A^T A if A is tall, A A^T if wide; over Q,
+rank(G) = rank(A)), a float64 matrix of integers, gets one certificate of
+nonsingularity (``certified_nonsingular``), which proves that A has full
+rank.  Failing that, one Bareiss fraction-free elimination of the rows
+decides (``bareiss_rank``): integer rows never leave integer arithmetic, and
+pivots are the first nonzero entry in column order, so the computation is
+deterministic for a given row order.  ``polytope.tightness`` is the one
+caller: its rows are +-1 vertices, so G's entries and partial sums are
+integers no larger than the row count.
 
-A matrix A comes as one 2-D array of integers that fit int64, and its rank
-is decided in two steps.  First the Gram matrix G of its short side is formed
-(A^T A if A is tall, A A^T if wide): over Q, rank(G) = rank(A).  Then G is
-certified nonsingular, so that A has full rank (``_nonsingular``), or Bareiss
-on A decides.  A caller that can form G without A's rows certifies its own
-G: ``polytope.tightness`` contracts its saturating vertices party by party
-and builds their +-1 rows only when Bareiss needs them.
-
-One exactness rule covers every product on G's side: it is one float64
-matmul whose entries and partial sums are integers below 2^53, which
-float64 holds exactly.  G qualifies while (long side) * max|a|^2 < 2^53.
-The certificates come in one order at every width.  If G is strictly
-diagonally dominant (2|g_ii| > sum_j |g_ij| on every row), it is
-nonsingular (Levy-Desplanques), so A has full rank.  Otherwise the float
-inverse of G proposes an integer witness X, and one exact product G X
-proves G nonsingular.  Where a product would break the rule or neither
-certificate holds, Bareiss on A decides.
+One exactness rule covers every product the certificate forms: it is one
+float64 matmul whose entries and partial sums are integers below 2^53,
+which float64 holds exactly.  If G is strictly diagonally dominant
+(2|g_ii| > sum_j |g_ij| on every row), it is nonsingular (Levy-Desplanques).
+Otherwise the float inverse of G proposes an integer witness X, and one
+exact product G X proves G nonsingular.  Where a product would break the
+rule or neither certificate holds, the certificate declines.
 """
 
 from __future__ import annotations
@@ -32,8 +27,9 @@ import numpy as np
 _FLOAT_EXACT = 2**53  # float64 holds every integer up to this exactly
 
 
-def _eliminate(m: list[list[int]]) -> int:
-    """Bareiss forward elimination of ``m`` in place; return the rank."""
+def bareiss_rank(rows: np.ndarray) -> int:
+    """Exact rank over Q of a 2-D integer array, by Bareiss forward elimination."""
+    m = rows.tolist()
     nrows = len(m)
     width = len(m[0]) if m else 0
     rank = 0
@@ -58,30 +54,16 @@ def _eliminate(m: list[list[int]]) -> int:
     return rank
 
 
-def _gram(a: np.ndarray) -> np.ndarray | None:
-    """The short side's Gram matrix (a^T a if tall, a a^T if wide) in float64,
-    or None where float64 might not hold every partial sum exactly."""
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    peak = max(int(a.max(initial=0)), -int(a.min(initial=0)))  # np.abs(-2^63) < 0
-    if a.shape[0] * peak**2 >= _FLOAT_EXACT:
-        return None
-    f = a.astype(np.float64)
-    return f.T @ f
-
-
-def _nonsingular(g: np.ndarray | None) -> bool:
+def certified_nonsingular(g: np.ndarray) -> bool:
     """Whether an exact certificate proves the float64 Gram matrix ``g`` nonsingular.
 
-    ``g`` holds integers (None, from ``_gram``, is never certified).  First
-    strict diagonal dominance, which makes G nonsingular.  Failing that, the
-    float inverse of G proposes X = rint(2^k G^-1), and R = 2^k I - G X is one
-    float64 product, exact under the module's rule or declined.  With
-    max_i sum_j |R_ij| < 2^k, G X = 2^k (I - R / 2^k) is nonsingular, so G
-    is.  False means "not certified" only.
+    ``g`` holds integers.  First strict diagonal dominance, which makes G
+    nonsingular.  Failing that, the float inverse of G proposes
+    X = rint(2^k G^-1), and R = 2^k I - G X is one float64 product, exact
+    under the module's rule or declined.  With max_i sum_j |R_ij| < 2^k,
+    G X = 2^k (I - R / 2^k) is nonsingular, so G is.  False means "not
+    certified" only.
     """
-    if g is None:
-        return False
     mag = np.abs(g)
     if len(g) * mag.max(initial=0) >= _FLOAT_EXACT:  # row sums of |G| stay exact
         return False
@@ -100,11 +82,3 @@ def _nonsingular(g: np.ndarray | None) -> bool:
         return False
     r = np.abs(scale * np.eye(n) - g @ np.rint(x * scale))
     return bool(r.sum(axis=1).max(initial=0) < scale)
-
-
-def integer_rank(a: np.ndarray) -> int:
-    """Exact rank over Q of a 2-D array of integers that fit int64."""
-    a = a.astype(np.int64, copy=False)
-    if _nonsingular(_gram(a)):  # a certificate of full rank min(rows, cols)
-        return min(a.shape)
-    return _eliminate(a.tolist())

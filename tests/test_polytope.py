@@ -216,7 +216,8 @@ def test_tightness_sizes_the_saturating_rows_before_building_them(monkeypatch):
 
 def test_pair_tables_past_the_cap_leave_the_rank_to_the_rows(monkeypatch):
     """(17,) would need 2^17 x 17^2 pair-table entries, past the 2^24 cap, so
-    no table is built and integer_rank takes the 2^16 saturating rows."""
+    no table is built: the Gram matrix of the 2^16 saturating rows is formed
+    from the rows and certified."""
     assert polytope._gram_plan(Scenario((17,))) is None
     monkeypatch.setattr(polytope, "_saturating_gram", None)
     rep = tightness(expr(Scenario((17,)), [((0,), 1)]))
@@ -272,10 +273,13 @@ def test_contracted_gram_equals_the_explicit_product(product_sizes):
         _normalized_face((2, 2, 2), 0, 1),
         _normalized_face((2, 2, 2), 7, 200),
         _normalized_face((3, 3), 0, 5),
+        # 4 saturating vertices of D = 6, rank 3: A A^T is not certified, Bareiss decides
+        expr(Scenario((2, 3)), [((0, 2), "1/2"), ((1, 2), "-1/2")]),
     ],
     ids=[
         "chsh", "e00", "loose", "wbz333", "mabk3", "mabk4", "facet222",
         "big-one-third", "big-negative", "big-face222", "big-ridge222", "big-face33",
+        "few-deficient",
     ],
 )
 def test_tightness_against_float_oracle(e):

@@ -2,8 +2,9 @@
 full rank (Gram diagonal dominance, the integer inverse witness) against
 Bareiss."""
 
+import inspect
 import itertools
-import math
+import re
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -18,18 +19,40 @@ from bellift import polytope, rational_linalg
 from bellift.expressions import BellExpression, Scenario
 from bellift.lifting import four_party_19, mabk, wbz333
 from bellift.polytope import distinct_vertices, enumerate_facets, tightness
-from bellift.rational_linalg import _eliminate, integer_rank
+from bellift.rational_linalg import bareiss_rank
 
 
 def _full_rank_witness(a: np.ndarray) -> bool:
-    return rational_linalg._nonsingular(rational_linalg._gram(a))
+    """The certificate on the short side's Gram matrix of ``a``, formed in
+    float64; every matrix here has entries small enough to keep it exact."""
+    f = np.asarray(a).astype(np.float64)
+    return rational_linalg.certified_nonsingular(f.T @ f if len(f) >= f.shape[1] else f @ f.T)
+
+
+def _rank(a) -> int:
+    """Reference rank, as ``tightness`` decides it: the certificate, else Bareiss."""
+    a = np.asarray(a, dtype=np.int64)
+    return min(a.shape) if _full_rank_witness(a) else rational_linalg.bareiss_rank(a)
+
+
+def test_polytope_reaches_the_rank_through_the_two_public_functions():
+    source = inspect.getsource(polytope)
+    assert not re.search(r"rational_linalg\._", source)
+    public = sorted(
+        name
+        for name, value in vars(rational_linalg).items()
+        if inspect.isfunction(value) and value.__module__ == rational_linalg.__name__
+    )
+    assert public == ["bareiss_rank", "certified_nonsingular"]
+    for name in public:
+        assert re.search(rf"\brational_linalg\.{name}\(", source), name
 
 
 def test_rank_simple_cases():
-    assert integer_rank(np.zeros((0, 0), dtype=np.int64)) == 0
-    assert integer_rank(np.array([[0, 0], [0, 0]])) == 0
-    assert integer_rank(np.array([[1, 2], [2, 4]])) == 1
-    assert integer_rank(np.array([[1, 0], [0, 1]])) == 2
+    assert _rank(np.zeros((0, 0), dtype=np.int64)) == 0
+    assert _rank(np.array([[0, 0], [0, 0]])) == 0
+    assert _rank(np.array([[1, 2], [2, 4]])) == 1
+    assert _rank(np.array([[1, 0], [0, 1]])) == 2
 
 
 def test_rank_matches_float_oracle_on_random_matrices():
@@ -40,18 +63,13 @@ def test_rank_matches_float_oracle_on_random_matrices():
         m = rng.integers(-5, 6, size=(rows, cols))
         if rng.random() < 0.5:  # force some rank deficiency
             m[rng.integers(rows)] = m[rng.integers(rows)] * int(rng.integers(-2, 3))
-        assert integer_rank(m) == np.linalg.matrix_rank(m.astype(float))
+        assert _rank(m) == np.linalg.matrix_rank(m.astype(float))
 
 
 # ---------------------------------------------------------------------------
 # Gram dominance, then the inverse witness, then the Bareiss fallback, at
 # every width
 # ---------------------------------------------------------------------------
-
-
-def _bareiss_rank(m) -> int:
-    rows = [[int(x) for x in row] for row in m]
-    return _eliminate(rows)
 
 
 def _unreachable(m):
@@ -73,15 +91,11 @@ def _recorded(calls, fn):
 
 
 def test_full_rank_over_q_but_not_mod_p_falls_back():
-    """Full-rank matrices that the witness declines still get their exact rank."""
+    """A full-rank matrix that the witness declines still gets its exact rank."""
     unimodular = np.eye(40, dtype=np.int64) + np.triu(np.full((40, 40), -2), 1)
     assert abs(np.linalg.inv(unimodular.astype(float))).max() > 3.0**38  # 2 * 3^38
-    m = np.eye(17, dtype=np.int64)
-    m[3, 3] = 2**31 - 1  # a p-entry: 17 * p^2 is past float64's exact range
-    tall = np.vstack([m, np.zeros((1, 17), dtype=np.int64)])  # Gram entry (3, 3) is p^2
-    for a, rank in ((unimodular, 40), (m, 17), (tall, 17)):
-        assert not _full_rank_witness(a)
-        assert integer_rank(a) == rank
+    assert not _full_rank_witness(unimodular)
+    assert _rank(unimodular) == 40
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,47 +115,10 @@ def test_rank_agrees_with_bareiss_on_both_sides_of_the_gate(
         m = left @ rng.integers(-3, 4, size=(inner, ncols))
     else:
         m = rng.integers(-5, 6, size=(nrows, ncols))
-    rank = integer_rank(m)
-    assert rank == _bareiss_rank(m)
+    rank = _rank(m)
+    assert rank == bareiss_rank(m)
     if deficient:
         assert rank < min(nrows, ncols)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 30),
-    st.integers(0, 12),
-    st.booleans(),
-    st.sampled_from(["under", "over"]),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-@example(17, 0, True, "over", False, 0)  # 17 * peak^2 is odd: float64 would round it
-@example(1, 2, False, "over", False, 0)
-@example(17, 0, True, "under", True, 0)
-def test_gram_route_agrees_with_bareiss(short, extra, tall, size, deficient, seed):
-    """Tall and wide matrices wider than 16 columns, with a column of peak
-    entries: long side * peak^2 just under 2^53 (float Gram) and just over
-    it (Bareiss)."""
-    long_side = max(short, 17) + extra + (not tall)  # a square matrix counts as tall
-    if tall:
-        short = max(short, 17)
-    under = math.isqrt((2**53 - 1) // long_side)
-    peak = {"under": under, "over": under + 1}[size]
-    rng = np.random.default_rng(seed)
-    a = rng.integers(-3, 4, size=(long_side, short))
-    a[:, 0] = peak * rng.choice([-1, 1], size=long_side)
-    if deficient and short > 1:
-        a[:, -1] = a[:, 0]
-    rows = a if tall else a.T
-    expected = _bareiss_rank(rows)
-    assert integer_rank(rows) == expected
-    if deficient and short > 1:
-        assert expected < short
-    gram = rational_linalg._gram(rows)
-    assert (gram is not None) == (size == "under")  # formed only below 2^53
-    if gram is not None:
-        assert gram.tolist() == (a.T @ a).tolist()  # exact, with an entry near 2^53
 
 
 def _upper(n: int, peak: int = 1) -> np.ndarray:
@@ -163,14 +140,7 @@ def test_the_witness_declines_products_past_2_53(n, peak, monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", _recorded(inverted, np.linalg.inv))
     assert not _full_rank_witness(a)
     assert inverted == [n]  # reached the witness: dominance failed
-    assert integer_rank(a) == _bareiss_rank(a) == n
-
-
-def test_int64_min_is_not_a_small_entry():
-    a = np.eye(17, dtype=np.int64)
-    a[0, 0] = -(2**63)  # np.abs leaves it negative
-    assert rational_linalg._gram(a) is None
-    assert integer_rank(a) == 17
+    assert _rank(a) == bareiss_rank(a) == n
 
 
 def test_narrow_matrices_stay_on_bareiss(monkeypatch):
@@ -181,19 +151,19 @@ def test_narrow_matrices_stay_on_bareiss(monkeypatch):
     is declined there (G X would pass 2^53), so it stays on Bareiss."""
     eliminated, inverted = [], []
     monkeypatch.setattr(np.linalg, "inv", _recorded(inverted, np.linalg.inv))
-    monkeypatch.setattr(rational_linalg, "_eliminate", _recorded(eliminated, _eliminate))
+    monkeypatch.setattr(rational_linalg, "bareiss_rank", _recorded(eliminated, bareiss_rank))
     eye = np.eye(16, dtype=np.int64)
     assert _full_rank_witness(eye)
-    assert integer_rank(eye) == 16
+    assert _rank(eye) == 16
     assert inverted == [] and eliminated == []
     signs = np.ones((4, 4), dtype=np.int64)
     signs[1, 3] = signs[2, 2] = signs[3, 1] = -1
     for a in (signs, _upper(16)):
         assert _full_rank_witness(a)
-        assert integer_rank(a) == len(a)
+        assert _rank(a) == len(a)
     assert inverted == [4, 4, 16, 16] and eliminated == []
     assert not _full_rank_witness(_upper(16, 2))
-    assert integer_rank(_upper(16, 2)) == 16
+    assert _rank(_upper(16, 2)) == 16
     assert eliminated == [16]
 
 
@@ -202,11 +172,11 @@ def test_dominance_is_strict():
     with equality, and G is singular.  So is a duplicated column at 17."""
     ones = np.ones((2, 2), dtype=np.int64)
     assert not _full_rank_witness(ones)
-    assert integer_rank(ones) == 1
+    assert _rank(ones) == 1
     dup = np.eye(17, dtype=np.int64)
     dup[:, 16] = dup[:, 0]  # G rows 0 and 16: 2 * 1 = 1 + 1
     assert not _full_rank_witness(dup)
-    assert integer_rank(dup) == _bareiss_rank(dup) == 16
+    assert _rank(dup) == bareiss_rank(dup) == 16
 
 
 def test_facets_are_certified_by_dominance_alone(monkeypatch):
@@ -214,7 +184,7 @@ def test_facets_are_certified_by_dominance_alone(monkeypatch):
     nor an elimination is needed to certify it."""
     exprs = [f for s in ((2, 2), (2, 3), (2, 2, 2), (3, 3)) for f in enumerate_facets(Scenario(s))]
     exprs += [wbz333(), four_party_19(), *(mabk(n) for n in range(3, 10))]
-    monkeypatch.setattr(rational_linalg, "_eliminate", _unreachable)
+    monkeypatch.setattr(rational_linalg, "bareiss_rank", _unreachable)
     monkeypatch.setattr(np.linalg, "inv", _no_inverse)
     for expr in exprs:
         rep = tightness(expr)
@@ -225,11 +195,10 @@ def test_four_party_facet_is_certified_without_bareiss(monkeypatch):
     """One certificate on the contracted 81 x 81 Gram matrix decides: the
     256 saturating rows are never built, and Bareiss is never reached."""
     certified = []
-    monkeypatch.setattr(rational_linalg, "_eliminate", _unreachable)
+    monkeypatch.setattr(rational_linalg, "bareiss_rank", _unreachable)
     monkeypatch.setattr(polytope, "_vertices", lambda rows, ids: _unreachable(ids))
-    monkeypatch.setattr(
-        rational_linalg, "_nonsingular", _recorded(certified, rational_linalg._nonsingular)
-    )
+    certify = _recorded(certified, rational_linalg.certified_nonsingular)
+    monkeypatch.setattr(rational_linalg, "certified_nonsingular", certify)
     rep = tightness(four_party_19())
     assert (rep.rank, rep.saturating_count, rep.is_tight) == (81, 256, True)
     assert certified == [81]  # one certificate, on the 81 x 81 Gram matrix
@@ -247,13 +216,11 @@ def test_a_deficient_saturating_set_gets_one_certificate_then_bareiss(
 ):
     """At least D saturating vertices of rank below D: the contracted Gram
     matrix gets one certificate, which fails, and Bareiss on the saturating
-    rows decides at once, with no second certificate through integer_rank."""
+    rows decides at once, with no second certificate."""
     certified, eliminated = [], []
-    monkeypatch.setattr(
-        rational_linalg, "_nonsingular", _recorded(certified, rational_linalg._nonsingular)
-    )
-    monkeypatch.setattr(rational_linalg, "_eliminate", _recorded(eliminated, _eliminate))
-    monkeypatch.setattr(rational_linalg, "integer_rank", _unreachable)
+    certify = _recorded(certified, rational_linalg.certified_nonsingular)
+    monkeypatch.setattr(rational_linalg, "certified_nonsingular", certify)
+    monkeypatch.setattr(rational_linalg, "bareiss_rank", _recorded(eliminated, bareiss_rank))
     scenario = Scenario(settings)
     rep = tightness(BellExpression.from_terms(scenario, terms))
     assert (rep.lr_max, rep.saturating_count, rep.rank, rep.is_tight) == (1, count, rank, False)
@@ -262,17 +229,17 @@ def test_a_deficient_saturating_set_gets_one_certificate_then_bareiss(
 
 
 def test_fewer_saturating_vertices_than_columns_take_the_rows(monkeypatch):
-    """Below D saturating vertices, integer_rank certifies their rows through
+    """Below D saturating vertices, tightness certifies their rows through
     the short side's Gram matrix A A^T: no contraction and no Bareiss."""
     monkeypatch.setattr(polytope, "_saturating_gram", None)
-    monkeypatch.setattr(rational_linalg, "_eliminate", _unreachable)
+    monkeypatch.setattr(rational_linalg, "bareiss_rank", _unreachable)
     half = [((0, 0), "1/2"), ((0, 1), "1/2")]  # a0 b0 = a0 b1 = 1
     rep = tightness(BellExpression.from_terms(Scenario((2, 2)), half))
     assert (rep.lr_max, rep.saturating_count, rep.rank, rep.is_tight) == (1, 2, 2, False)
 
 
 def test_mabk9_is_certified_without_bareiss(monkeypatch):
-    monkeypatch.setattr(rational_linalg, "_eliminate", _unreachable)
+    monkeypatch.setattr(rational_linalg, "bareiss_rank", _unreachable)
     rep = tightness(mabk(9))
     assert (rep.rank, rep.saturating_count, rep.is_tight) == (512, 512, True)
 
@@ -310,7 +277,7 @@ def test_the_witness_certifies_the_symmetric_section_facets(monkeypatch):
     sample = np.random.default_rng(2010).choice(len(exprs), size=200, replace=False)
     eliminated, inverted = [], []
     monkeypatch.setattr(np.linalg, "inv", _recorded(inverted, np.linalg.inv))
-    monkeypatch.setattr(rational_linalg, "_eliminate", _recorded(eliminated, _eliminate))
+    monkeypatch.setattr(rational_linalg, "bareiss_rank", _recorded(eliminated, bareiss_rank))
     tight = dominant = 0
     for k in sample.tolist():
         eliminated.clear()
@@ -330,7 +297,7 @@ def test_rank_deficient_saturating_rows_get_the_exact_rank():
     sat = verts[verts @ np.array(expr.coeffs, dtype=object) == 1].copy()
     assert sat.shape == (256, 81)
     sat[:, 40] = 0
-    assert integer_rank(sat) == _bareiss_rank(sat) == 80
+    assert _rank(sat) == bareiss_rank(sat) == 80
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,7 +316,7 @@ def test_the_witness_never_certifies_a_deficient_rank(
     short, extra, tall, deficiency, peak, seed
 ):
     """Entries +-1 or +-peak: the witness stays silent on rank-deficient
-    matrices, and on full-rank ones integer_rank agrees with Bareiss."""
+    matrices, and on full-rank ones the reference rank agrees with Bareiss."""
     rng = np.random.default_rng(seed)
     shape = (short + extra, short)
     a = rng.choice([-peak, -1, 1, peak], size=shape)
@@ -362,7 +329,7 @@ def test_the_witness_never_certifies_a_deficient_rank(
         a[:, rng.integers(short)] = 0
     a = a.astype(np.int64) if tall else a.T.astype(np.int64)
     if deficiency is None:
-        assert integer_rank(a) == _bareiss_rank(a)
+        assert _rank(a) == bareiss_rank(a)
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
